@@ -23,7 +23,7 @@ from . import tensor as T
 # overhead over many copies, small enough to add only a few MB to a check.
 CHUNK_BYTES = 4 << 20
 # Activation arrays alive per copy, in units of the suffix's largest segment
-# input: a 3x3 im2col alone is nine.
+# input: a 3x3 conv's unfolded input alone is nine.
 ACTIVATION_COPIES = 12
 
 

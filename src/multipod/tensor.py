@@ -4,17 +4,17 @@ Every operation records its inputs and a backward closure on the output
 tensor; ``Tensor.backward()`` walks the graph once in reverse topological
 order. Gradients accumulate into ``.grad`` buffers: calling backward twice
 without clearing adds the two gradients (the optimizer is responsible for
-clearing at step boundaries). There is no global tape, so independent
-graphs can be evaluated concurrently.
+clearing at step boundaries). There is no global tape, and ``no_grad``
+holds per thread, so independent graphs can be evaluated concurrently.
 
 Replica axis: an operand may carry one extra leading axis of R independent
 copies of the same computation (the finite-difference checker stacks R
 perturbed copies of one parameter this way). Images are then R x B x C x H
 x W, conv weights R x F x C x kH x kW, per-channel and dense parameters one
 rank up. An op given such operands computes every replica at once and
-gives, in value, what each replica would give alone: conv2d, relu, add and
-the pooling ops fold the replicas into the batch (a replicated conv weight
-becomes one GEMM per replica), batch norm takes per-replica batch
+gives, in value, what each replica would give alone: relu, add and the
+pooling ops fold the replicas into the batch, conv2d runs one GEMM per
+replica and image over shared operands, batch norm takes per-replica batch
 statistics and leaves its running buffers alone, the heads broadcast
 shared operands across replicas, and cross-entropy gives one loss per
 replica. The replica path is forward-only: recording a graph through it
@@ -22,6 +22,9 @@ raises ``StateError``.
 """
 
 from __future__ import annotations
+
+import contextvars
+import math
 
 import numpy as np
 
@@ -83,17 +86,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={self._op or 'leaf'})"
-
-    def detach(self):
-        """Same values, cut off from the graph. Shares the data buffer."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.requires_grad = False
-        out.grad = None
-        out._parents = ()
-        out._backward = None
-        out._op = "detach"
-        return out
 
     def zero_grad(self):
         self.grad = None
@@ -157,25 +149,27 @@ def _accumulate(t, g):
     t.grad += g
 
 
-_GRAD_ENABLED = [True]
+# Per thread (and per asyncio task): no_grad in one leaves graphs recorded
+# in another untouched.
+_GRAD_ENABLED = contextvars.ContextVar("grad_enabled", default=True)
 
 
 class no_grad:
-    """Context manager that disables graph recording; forwards run data-only."""
+    """Context manager that disables graph recording in the current context;
+    forwards run data-only."""
 
     def __enter__(self):
-        self._prev = _GRAD_ENABLED[0]
-        _GRAD_ENABLED[0] = False
+        self._token = _GRAD_ENABLED.set(False)
         return self
 
     def __exit__(self, *exc):
-        _GRAD_ENABLED[0] = self._prev
+        _GRAD_ENABLED.reset(self._token)
         return False
 
 
 def _result(data, parents, backward, op):
     out = Tensor(data)
-    if _GRAD_ENABLED[0] and any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -184,7 +178,7 @@ def _result(data, parents, backward, op):
 
 
 def _forward_only(op, *operands):
-    if _GRAD_ENABLED[0] and any(t.requires_grad for t in operands):
+    if _GRAD_ENABLED.get() and any(t.requires_grad for t in operands):
         raise StateError(f"{op} with a replica axis is forward-only; run it under no_grad()")
 
 
@@ -281,18 +275,6 @@ def linear(x, weight, bias):
     return _result(np.dot(x.data, weight.data.T) + bias.data, (x, weight, bias), backward, "linear")
 
 
-def pad2d(x, pad, value=0.0):
-    """Pad the two trailing spatial axes of a B x C x H x W tensor on all sides."""
-    if pad < 0:
-        raise ValueError(f"pad must be >= 0, got {pad}")
-    if pad == 0:
-        return x
-    widths = ((0, 0), (0, 0), (pad, pad), (pad, pad))
-    def backward(g):
-        _accumulate(x, g[:, :, pad:-pad, pad:-pad])
-    return _result(np.pad(x.data, widths, constant_values=value), (x,), backward, "pad2d")
-
-
 def _pad_hw(a, padding, value=0.0):
     # ``a`` framed by ``padding`` cells of ``value`` on its two trailing axes;
     # the same array np.pad gives, without its per-call overhead.
@@ -315,13 +297,6 @@ def _conv_windows(xp, kh, kw, stride, out_h, out_w):
     )
 
 
-def _im2col(xp, kh, kw, stride, out_h, out_w):
-    # (B*outH*outW) x (C*kH*kW) rows of the padded input's receptive fields.
-    b, c = xp.shape[:2]
-    col = _conv_windows(xp, kh, kw, stride, out_h, out_w).transpose(0, 2, 3, 1, 4, 5)
-    return np.ascontiguousarray(col).reshape(b * out_h * out_w, c * kh * kw)
-
-
 def _conv_extent(x_shape, w_shape, stride, padding):
     c, h, w = x_shape[-3:]
     c2, kh, kw = w_shape[-3:]
@@ -330,6 +305,91 @@ def _conv_extent(x_shape, w_shape, stride, padding):
     if kh > h + 2 * padding or kw > w + 2 * padding:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
     return (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+
+
+# Conv unfolds its input a chunk of images at a time into buffers of about
+# this many bytes, sized to a core's L2 cache, so each unfolded chunk is
+# still in cache when its GEMM reads it.
+_CONV_CHUNK_BYTES = 1 << 20
+
+
+def _chunk_images(b, image_bytes):
+    return min(b, max(1, _CONV_CHUNK_BYTES // image_bytes))
+
+
+def _unfold_into(col, xp, stride, out_h, out_w):
+    # Fill col (..., n, C, kH, kW, outH, outW) with the receptive fields of
+    # the padded images xp (..., n, C, Hp, Wp): one strided slice copy per
+    # kernel tap, each moving whole output rows along the width.
+    kh, kw = col.shape[-4:-2]
+    rows, cols = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
+    for i in range(kh):
+        for j in range(kw):
+            col[..., i, j, :, :] = xp[..., i:i + rows:stride, j:j + cols:stride]
+    return col
+
+
+def _unfolded(x, kh, kw, stride, padding, out_h, out_w):
+    # Yield (lo, hi, col) over chunks of the images of x (..., B, C, H, W),
+    # col (..., hi - lo, C*kH*kW, outH*outW) being images lo:hi unfolded.
+    # The buffers are reused: col is valid until the next step.
+    *lead, b, c, h, w = x.shape
+    n = _chunk_images(b, math.prod(lead) * c * kh * kw * out_h * out_w * x.itemsize)
+    xp = np.zeros((*lead, n, c, h + 2 * padding, w + 2 * padding), x.dtype) if padding else None
+    col = np.empty((*lead, n, c, kh, kw, out_h, out_w), x.dtype)
+    for lo in range(0, b, n):
+        m = min(n, b - lo)
+        src = x[..., lo:lo + m, :, :, :]
+        if padding:
+            # the zero border is written once; each chunk overwrites the interior
+            xp[..., :m, :, padding:padding + h, padding:padding + w] = src
+            src = xp[..., :m, :, :, :]
+        chunk = _unfold_into(col[..., :m, :, :, :, :, :], src, stride, out_h, out_w)
+        yield lo, lo + m, chunk.reshape(*lead, m, c * kh * kw, out_h * out_w)
+
+
+def _conv_forward(x, w_mat, kh, kw, stride, padding, out_h, out_w):
+    # x (..., B, C, H, W) cross-correlated with w_mat (..., F, C*kH*kW): one
+    # GEMM per image, and per replica, written straight into the NCHW
+    # output (..., B, F, outH, outW).
+    lead = np.broadcast_shapes(x.shape[:-4], w_mat.shape[:-2])
+    b, f = x.shape[-4], w_mat.shape[-2]
+    out = np.empty((*lead, b, f, out_h * out_w), np.result_type(x, w_mat))
+    w_mat = w_mat[..., None, :, :]
+    for lo, hi, col in _unfolded(x, kh, kw, stride, padding, out_h, out_w):
+        np.matmul(w_mat, col, out=out[..., lo:hi, :, :])
+    return out.reshape(*lead, b, f, out_h, out_w)
+
+
+def _conv_input_grad(g, weight, x_shape, stride, padding):
+    # d(loss)/d(input) of a 4-D conv, given the output gradient g.
+    b, c, h, w = x_shape
+    f, _, kh, kw = weight.shape
+    out_h, out_w = g.shape[-2:]
+    if stride == 1 and kh == kw and padding < kh:
+        # the adjoint of a stride-1 conv: g convolved with the flipped
+        # kernels, in and out channels swapped, at padding kH - 1 - padding
+        w_flip = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+        return _conv_forward(g, w_flip, kh, kw, 1, kh - 1 - padding, h, w)
+    # otherwise each chunk's unfolded gradient is added back tap by tap
+    dtype = np.result_type(g, weight)
+    n = _chunk_images(b, c * kh * kw * out_h * out_w * dtype.itemsize)
+    col = np.empty((n, c, kh, kw, out_h, out_w), dtype)
+    dxp = np.empty((n, c, h + 2 * padding, w + 2 * padding), dtype)
+    dx = np.empty(x_shape, dtype)
+    w_t = weight.reshape(f, -1).T
+    g = g.reshape(b, f, out_h * out_w)
+    rows, cols = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
+    for lo in range(0, b, n):
+        m = min(n, b - lo)
+        np.matmul(w_t, g[lo:lo + m], out=col[:m].reshape(m, -1, out_h * out_w))
+        d = dxp[:m]
+        d.fill(0)
+        for i in range(kh):
+            for j in range(kw):
+                d[:, :, i:i + rows:stride, j:j + cols:stride] += col[:m, :, i, j]
+        dx[lo:lo + m] = d[:, :, padding:padding + h, padding:padding + w]
+    return dx
 
 
 def conv2d(x, weight, stride=1, padding=0):
@@ -341,58 +401,36 @@ def conv2d(x, weight, stride=1, padding=0):
         raise ValueError(f"stride must be a positive int, got {stride}")
     if padding < 0:
         raise ValueError(f"padding must be >= 0, got {padding}")
-    if x.data.ndim == 5 or weight.data.ndim == 5:
-        return _replica_conv2d(x, weight, stride, padding)
-    if x.data.ndim != 4 or weight.data.ndim != 4:
-        raise ShapeError("conv2d expects 4D input and weight")
-    b, c, h, w = x.data.shape
-    f, _, kh, kw = weight.data.shape
+    if x.data.ndim not in (4, 5) or weight.data.ndim not in (4, 5):
+        raise ShapeError("conv2d expects 4D (or replicated 5D) input and weight")
+    replicated = x.data.ndim == 5 or weight.data.ndim == 5
+    if replicated:
+        _forward_only("conv2d", x, weight)
+        if x.data.ndim == weight.data.ndim == 5 and x.data.shape[0] != weight.data.shape[0]:
+            raise ShapeError(f"input has {x.data.shape[0]} replicas, weight {weight.data.shape[0]}")
+    kh, kw = weight.data.shape[-2:]
     out_h, out_w = _conv_extent(x.data.shape, weight.data.shape, stride, padding)
-
-    xp = _pad_hw(x.data, padding)
-    w_mat = weight.data.reshape(f, -1)
-    x_col = _im2col(xp, kh, kw, stride, out_h, out_w)
-    out = np.dot(x_col, w_mat.T).reshape(b, out_h, out_w, f).transpose(0, 3, 1, 2)
-    out = np.ascontiguousarray(out)
+    w_mat = weight.data.reshape(weight.data.shape[:-3] + (-1,))
+    if replicated:
+        return Tensor(_conv_forward(x.data, w_mat, kh, kw, stride, padding, out_h, out_w))
+    # OpenBLAS multiplies small untransposed operands with a small-matrix
+    # kernel whose rounding differs from its packed kernel's. A transposed
+    # weight keeps most shapes, the resnet ones among them, on the packed
+    # kernel, whose bits are those of one whole-batch GEMM. (The replica
+    # path keeps the small-matrix kernel: its tiny GEMMs run faster there.)
+    w_mat = np.ascontiguousarray(w_mat.T).T
+    out = _conv_forward(x.data, w_mat, kh, kw, stride, padding, out_h, out_w)
 
     def backward(g):
-        g_mat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(b * out_h * out_w, f)
         if weight.requires_grad:
-            # x_col is rebuilt from the padded input to avoid holding the
-            # unfolded copy for the whole forward pass.
-            col = _im2col(xp, kh, kw, stride, out_h, out_w)
-            _accumulate(weight, np.dot(g_mat.T, col).reshape(weight.data.shape))
+            g_mat = g.reshape(g.shape[0], g.shape[1], -1)
+            dw = sum(np.matmul(g_mat[lo:hi], col.swapaxes(-1, -2)).sum(axis=0)
+                     for lo, hi, col in _unfolded(x.data, kh, kw, stride, padding, out_h, out_w))
+            _accumulate(weight, dw.reshape(weight.data.shape))
         if x.requires_grad:
-            dcol = np.dot(g_mat, w_mat).reshape(b, out_h, out_w, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += dcol[:, :, i, j]
-            if padding:
-                dxp = dxp[:, :, padding:padding + h, padding:padding + w]
-            _accumulate(x, dxp)
+            _accumulate(x, _conv_input_grad(g, weight.data, x.data.shape, stride, padding))
 
     return _result(out, (x, weight), backward, "conv2d")
-
-
-def _replica_conv2d(x, weight, stride, padding):
-    _forward_only("conv2d", x, weight)
-    if x.data.ndim not in (4, 5) or weight.data.ndim not in (4, 5):
-        raise ShapeError("conv2d expects 4D or replicated 5D input and weight")
-    if weight.data.ndim == 4:
-        return _folded(conv2d, x, weight, stride=stride, padding=padding)
-    r, f, _, kh, kw = weight.data.shape
-    if x.data.ndim == 5 and x.data.shape[0] != r:
-        raise ShapeError(f"input has {x.data.shape[0]} replicas, weight {r}")
-    out_h, out_w = _conv_extent(x.data.shape, weight.data.shape, stride, padding)
-    b = x.data.shape[-4]
-    xp = _pad_hw(x.data.reshape((-1,) + x.data.shape[-3:]), padding)
-    col = _im2col(xp, kh, kw, stride, out_h, out_w)
-    if x.data.ndim == 5:
-        col = col.reshape(r, b * out_h * out_w, -1)
-    # one GEMM per replica; an unreplicated input shares its unfolded rows
-    out = np.matmul(col, weight.data.reshape(r, f, -1).transpose(0, 2, 1))
-    return Tensor(np.ascontiguousarray(out.reshape(r, b, out_h, out_w, f).transpose(0, 1, 4, 2, 3)))
 
 
 def max_pool2d(x, kernel, stride, padding=0):

@@ -258,6 +258,10 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt, path):
+    """Write ``ckpt`` to ``path`` atomically: the file is written beside it
+    under a temporary name and renamed over it, so a save that crashes
+    mid-write leaves the previous checkpoint whole. A save that raises
+    removes its temporary file."""
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "spec": ckpt.spec,
@@ -274,9 +278,16 @@ def save_checkpoint(ckpt, path):
     for name, (mean, var, _) in ckpt.buffers.items():
         arrays[f"bnmean/{name}"] = mean
         arrays[f"bnvar/{name}"] = var
-    # open the handle ourselves so numpy does not append an extension
-    with open(path, "wb") as f:
-        np.savez(f, **arrays)
+    tmp = f"{path}.tmp"
+    try:
+        # open the handle ourselves so numpy does not append an extension
+        with open(tmp, "wb") as f:
+            np.savez(f, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

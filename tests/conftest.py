@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread: the suite's GEMMs are too small for a second thread to
+# pay for itself, and it would only burn a core other work could use. Set
+# before numpy is first imported, which is when OpenBLAS reads it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -65,10 +67,31 @@ class TestTensorBasics:
             y = x + x
         assert not y.requires_grad and y._backward is None
 
-    def test_detach_shares_data_but_not_graph(self):
-        x = t64([1.0, 2.0], requires_grad=True)
-        d = x.detach()
-        assert d.data is x.data and not d.requires_grad
+    def test_no_grad_is_per_thread(self):
+        # one thread holds no_grad open while another records a graph
+        x = t64([1.0], requires_grad=True)
+        entered, recorded = threading.Event(), threading.Event()
+        results = {}
+
+        def quiet():
+            with T.no_grad():
+                entered.set()
+                recorded.wait(timeout=10)
+                results["quiet"] = x + x
+
+        def recording():
+            entered.wait(timeout=10)
+            results["recorded"] = x + x
+            recorded.set()
+
+        threads = [threading.Thread(target=quiet), threading.Thread(target=recording)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert results["recorded"].requires_grad and results["recorded"]._parents == (x, x)
+        assert not results["quiet"].requires_grad
 
 
 class TestBroadcastArithmetic:
@@ -133,6 +156,11 @@ class TestLinear:
         assert_grad_close(fd_gradient(loss, b.data), b.grad)
 
 
+# (kernel, stride, padding): the resnet 3x3, its strided form, the 1x1
+# projection and the imagenet stem
+CHUNK_CASES = [(3, 1, 1), (3, 2, 1), (1, 2, 0), (7, 2, 3)]
+
+
 class TestConv2d:
     def test_ones_kernel_counts_overlap(self):
         x = t64(np.ones((1, 1, 3, 3)))
@@ -191,22 +219,50 @@ class TestConv2d:
         assert_grad_close(fd_gradient(loss, w.data), w.grad)
 
 
-class TestPad2d:
-    def test_zero_pad_is_identity(self, rng):
-        x = t64(rng.normal(size=(1, 2, 3, 3)))
-        assert T.pad2d(x, 0) is x
+def col_bytes(c, k, out, replicas=1):
+    # bytes of one image's unfolded float64 input, as conv2d sizes its chunks
+    return replicas * c * k * k * out * out * 8
 
-    def test_padding_content_and_center(self, rng):
-        x = t64(rng.normal(size=(1, 1, 3, 3)))
-        out = T.pad2d(x, 2).data
-        assert out.shape == (1, 1, 7, 7)
-        assert np.array_equal(out[:, :, 2:5, 2:5], x.data)
-        assert out[0, 0, 0, 0] == 0.0 and out[0, 0, -1, -1] == 0.0
 
-    def test_gradient_is_center_slice(self, rng):
-        x = t64(rng.normal(size=(1, 1, 2, 2)), requires_grad=True)
-        T.tensor_sum(T.pad2d(x, 1)).backward()
-        assert np.array_equal(x.grad, np.ones((1, 1, 2, 2)))
+class TestConvChunks:
+    """conv2d unfolds a few images at a time; where the chunks split must not
+    change the result. B = 5 images run as chunks of 2 + 2 + 1."""
+
+    B, C, H = 5, 2, 7
+
+    @staticmethod
+    def out(k, s, p):
+        return (TestConvChunks.H + 2 * p - k) // s + 1
+
+    @pytest.mark.parametrize("k,s,p", CHUNK_CASES)
+    def test_forward_matches_oracle_and_ignores_chunking(self, rng, monkeypatch, k, s, p):
+        x = rng.normal(size=(self.B, self.C, self.H, self.H))
+        w = rng.normal(size=(3, self.C, k, k))
+        conv = lambda: T.conv2d(t64(x), t64(w), stride=s, padding=p).data
+        whole = conv()
+        monkeypatch.setattr(T, "_CONV_CHUNK_BYTES", 2 * col_bytes(self.C, k, self.out(k, s, p)))
+        split = conv()
+        monkeypatch.setattr(T, "_CONV_CHUNK_BYTES", 1)
+        single = conv()
+        np.testing.assert_allclose(split, conv2d_oracle(x, w, stride=s, padding=p),
+                                   rtol=1e-10, atol=1e-12)
+        assert np.array_equal(split, whole) and np.array_equal(split, single)
+
+    # (2, 1, 0) and (1, 1, 1) add an even kernel and a stride-1 conv padded
+    # wider than its kernel, whose input gradient is not a conv
+    @pytest.mark.parametrize("k,s,p", CHUNK_CASES + [(2, 1, 0), (1, 1, 1)])
+    def test_gradients_match_fd(self, rng, monkeypatch, k, s, p):
+        # in and out channels equal, so the stride-1 input gradient (a conv
+        # of the output gradient) splits 2 + 2 + 1 as well
+        monkeypatch.setattr(T, "_CONV_CHUNK_BYTES", 2 * col_bytes(self.C, k, self.out(k, s, p)))
+        x = t64(rng.normal(size=(self.B, self.C, self.H, self.H)), requires_grad=True)
+        w = t64(rng.normal(size=(self.C, self.C, k, k)), requires_grad=True)
+        cot = t64(rng.normal(size=(self.B, self.C, self.out(k, s, p), self.out(k, s, p))))
+        loss = lambda: T.tensor_sum(T.mul(T.conv2d(x, w, stride=s, padding=p), cot))
+        loss().backward()
+        value = lambda: float(loss().data)
+        assert_grad_close(fd_gradient(value, x.data), x.grad)
+        assert_grad_close(fd_gradient(value, w.data), w.grad)
 
 
 class TestMaxPool:
@@ -519,6 +575,20 @@ class TestReplicaAxis:
             self.assert_per_replica(conv(x, w), [conv(xr, wr) for xr, wr in zip(x, w)])
         with pytest.raises(T.ShapeError):
             conv(x[:2], w)
+
+    @pytest.mark.parametrize("k,s,p", CHUNK_CASES)
+    def test_conv2d_chunk_boundaries(self, rng, monkeypatch, k, s, p):
+        b, c, h = 5, 2, 7
+        out = (h + 2 * p - k) // s + 1
+        x = rng.normal(size=(self.R, b, c, h, h))
+        w = rng.normal(size=(self.R, 3, c, k, k))
+        conv = lambda xa, wa: T.conv2d(t64(xa), t64(wa), stride=s, padding=p).data
+        with T.no_grad():
+            # a replicated input unfolds all replicas of an image together
+            monkeypatch.setattr(T, "_CONV_CHUNK_BYTES", 2 * col_bytes(c, k, out, self.R))
+            self.assert_per_replica(conv(x, w[0]), [conv(xr, w[0]) for xr in x])
+            monkeypatch.setattr(T, "_CONV_CHUNK_BYTES", 2 * col_bytes(c, k, out))
+            self.assert_per_replica(conv(x[0], w), [conv(x[0], wr) for wr in w])
 
     def test_pooling(self, rng):
         x = rng.normal(size=(self.R, 2, 3, 5, 5))

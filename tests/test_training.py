@@ -312,6 +312,27 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError, match="corrupt"):
             load_checkpoint(path)
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        model, _, _, aug = tiny_setup()
+        path = tmp_path / "last.ckpt"
+        ckpt = Checkpoint.from_model(model, epoch=1, seed=aug.seed, best_top1=0.5)
+        save_checkpoint(ckpt, path)
+
+        def savez_then_crash(f, **arrays):
+            f.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez_then_crash)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(Checkpoint.from_model(model, 2, aug.seed, 0.75), path)
+        monkeypatch.undo()
+
+        loaded = load_checkpoint(path)
+        assert loaded.epoch == 1 and loaded.best_top1 == 0.5
+        for name in ckpt.params:
+            assert np.array_equal(loaded.params[name], ckpt.params[name]), name
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["last.ckpt"]
+
     def test_format_version_mismatch(self, tmp_path):
         path = tmp_path / "old.ckpt"
         meta = json.dumps({"format_version": 99}).encode()
