@@ -19,7 +19,7 @@ from .config import ConfigError, load_config, load_data, parse_config
 from .data import (AugmentationSpec, DataError, JitterSpec, make_pod_inputs,
                    synthetic_dataset)
 from .gradcheck import gradient_check
-from .models import (APPROACH1, APPROACH2, MultiPodSpec, build_multipod,
+from .models import (APPROACH1, APPROACH2, CIFAR_FAMILY, MultiPodSpec, build_multipod,
                      count_params, resnet_cifar, resnet_imagenet)
 from .training import (CheckpointError, NumericalAbort, evaluate_center_crop,
                        evaluate_ten_crop, load_checkpoint, train)
@@ -48,11 +48,10 @@ def _base_arg(name):
         f"unsupported base {name!r}: use resnet18 or a 6n+2 depth like resnet20")
 
 
-def _spec_from_args(args):
-    base = args.base
+def _spec_from_args(args, base):
     classes = args.classes
     if classes is None:
-        classes = 10 if base.family == "resnet-cifar" else 1000
+        classes = 10 if base.family == CIFAR_FAMILY else 1000
     spec = MultiPodSpec(pods=args.pods, base=base, fusion=_FUSION_NAMES[args.fusion],
                         combine_mode=args.combine, classes=classes)
     spec.validate()
@@ -106,18 +105,26 @@ def write_ppm(path, img):
         f.write(pixels.transpose(1, 2, 0).tobytes())
 
 
-def cmd_train(args):
-    cfg = load_config(args.config)
+def _with_overrides(cfg, args):
+    # Each flag is applied and validated in turn, so an error names the flag
+    # that made a valid config invalid.
     doc = cfg.to_dict()
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.epochs is not None:
-        doc["schedule"]["epochs"] = args.epochs
-    if args.batch_size is not None:
-        doc["schedule"]["batch_size"] = args.batch_size
-    if args.output_dir is not None:
-        doc["output_dir"] = args.output_dir
-    cfg = parse_config(doc)
+    for flag, section, key, value in (("--seed", None, "seed", args.seed),
+                                      ("--epochs", "schedule", "epochs", args.epochs),
+                                      ("--batch-size", "schedule", "batch_size", args.batch_size),
+                                      ("--output-dir", None, "output_dir", args.output_dir)):
+        if value is None:
+            continue
+        (doc[section] if section else doc)[key] = value
+        try:
+            cfg = parse_config(doc)
+        except ConfigError as e:
+            raise ConfigError(f"{flag} {value}: {e}") from e
+    return cfg
+
+
+def cmd_train(args):
+    cfg = _with_overrides(load_config(args.config), args)
 
     out_dir = cfg.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "runs"
     # the data and the resume checkpoint are checked before any artifact is
@@ -164,7 +171,7 @@ def cmd_count_params(args):
     if args.config:
         spec = load_config(args.config).model
     else:
-        spec = _spec_from_args(args)
+        spec = _spec_from_args(args, args.base)
     n = count_params(spec)
     print(n)
     if args.expect is not None and n != args.expect:
@@ -178,10 +185,7 @@ def cmd_gradcheck(args):
         print(f"error: --size {args.size} too large for finite differences (max 16)",
               file=sys.stderr)
         return EXIT_USAGE
-    spec = MultiPodSpec(pods=args.pods, base=resnet_cifar(args.n),
-                        fusion=_FUSION_NAMES[args.fusion], combine_mode=args.combine,
-                        classes=args.classes)
-    spec.validate()
+    spec = _spec_from_args(args, resnet_cifar(args.n))
     model = build_multipod(spec, dtype=np.float64)
     rng = np.random.default_rng(args.seed)
     inputs = [T.Tensor(rng.normal(0.0, 1.0, (args.batch, 3, args.size, args.size)),

@@ -199,18 +199,6 @@ def pad_random_crop(images, pad, size, rng=None, offsets=None):
     return out
 
 
-def random_hflip(images, prob, rng=None, decisions=None):
-    """Reverse the width axis of each image independently with probability prob."""
-    if not (0.0 <= prob <= 1.0):
-        raise ValueError(f"prob must be in [0,1], got {prob}")
-    images = np.asarray(images)
-    if decisions is None:
-        decisions = rng.random(images.shape[0]) < prob
-    out = images.copy()
-    out[np.asarray(decisions)] = out[np.asarray(decisions)][..., ::-1]
-    return out
-
-
 def _luma(img):
     # img: (..., 3, H, W)
     r, g, b = img[..., 0, :, :], img[..., 1, :, :], img[..., 2, :, :]
@@ -273,7 +261,8 @@ def make_pod_inputs(pixels, spec, k, epoch=0, indices=None, train=True):
     Geometry (crop, flip) is always shared across pods. Routing controls the
     photometric part: ``identical`` applies no jitter, ``shared-jitter`` draws
     one set of factors for all pods, ``per-pod-jitter`` draws k independent
-    sets. Eval mode (train=False) normalizes only.
+    sets. Eval mode (train=False) normalizes only, and returns one read-only
+    array k times.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -286,7 +275,8 @@ def make_pod_inputs(pixels, spec, k, epoch=0, indices=None, train=True):
 
     if not train:
         out = normalize(pixels, spec.mean, spec.std)
-        return [out.copy() for _ in range(k)]
+        out.flags.writeable = False
+        return [out] * k
 
     pods = [np.empty((b, 3, spec.crop_size, spec.crop_size), dtype=np.float32)
             for _ in range(k)]

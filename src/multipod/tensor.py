@@ -7,18 +7,17 @@ without clearing adds the two gradients (the optimizer is responsible for
 clearing at step boundaries). There is no global tape, and ``no_grad``
 holds per thread, so independent graphs can be evaluated concurrently.
 
-Replica axis: an operand may carry one extra leading axis of R independent
+Leading axis: an operand may carry one extra leading axis of R independent
 copies of the same computation (the finite-difference checker stacks R
 perturbed copies of one parameter this way). Images are then R x B x C x H
 x W, conv weights R x F x C x kH x kW, per-channel and dense parameters one
-rank up. An op given such operands computes every replica at once and
-gives, in value, what each replica would give alone: relu, add and the
-pooling ops fold the replicas into the batch, conv2d runs one GEMM per
-replica and image over shared operands, batch norm takes per-replica batch
-statistics and leaves its running buffers alone, the heads broadcast
-shared operands across replicas, and cross-entropy gives one loss per
-replica. The replica path is forward-only: recording a graph through it
-raises ``StateError``.
+rank up. Each op has one forward formula, written over any leading axes,
+so it computes every replica at once and gives, in value, what each
+replica would give alone: batch norm takes per-replica batch statistics and
+leaves its running buffers alone, and cross-entropy gives one loss per
+replica. The backward closures of conv, batch norm, the heads and the loss
+assume no leading axis, so ``_result`` refuses to record a graph through
+one (``StateError``).
 """
 
 from __future__ import annotations
@@ -167,9 +166,13 @@ class no_grad:
         return False
 
 
-def _result(data, parents, backward, op):
+def _result(data, parents, backward, op, leading=False):
+    # ``leading``: an operand carries a leading replica axis, which the op's
+    # backward closure does not handle.
     out = Tensor(data)
     if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
+        if leading:
+            raise StateError(f"{op} with a replica axis is forward-only; run it under no_grad()")
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -177,26 +180,14 @@ def _result(data, parents, backward, op):
     return out
 
 
-def _forward_only(op, *operands):
-    if _GRAD_ENABLED.get() and any(t.requires_grad for t in operands):
-        raise StateError(f"{op} with a replica axis is forward-only; run it under no_grad()")
-
-
-def _folded(op, x, *args, **kwargs):
-    # A 4-D op on an R x B x C x H x W input, the replicas folded into the batch.
-    r = x.data.shape[0]
-    out = op(Tensor(x.data.reshape((-1,) + x.data.shape[2:])), *args, **kwargs).data
-    return Tensor(out.reshape((r, -1) + out.shape[1:]))
-
-
 def _channels(v):
-    # Per-channel (C,) or replicated (R, C) values, broadcast against R x B x C x H x W.
-    return v[:, None, :, None, None] if v.ndim == 2 else v[:, None, None]
+    # Per-channel (C,) or replicated (R, C) values, broadcast against (..., B, C, H, W).
+    return v[..., None, :, None, None]
 
 
 def _rows(v):
-    # Per-feature (P,) or replicated (R, P) values, broadcast against R x B x P.
-    return v[:, None, :] if v.ndim == 2 else v
+    # Per-feature (P,) or replicated (R, P) values, broadcast against (..., B, P).
+    return v[..., None, :]
 
 
 def _wrap(x, like):
@@ -250,29 +241,19 @@ def relu(x):
     return _result(np.where(mask, x.data, 0), (x,), backward, "relu")
 
 
-def tensor_sum(x):
-    """Sum of all elements, as a scalar tensor."""
-    def backward(g):
-        _accumulate(x, np.broadcast_to(g, x.data.shape))
-    return _result(np.asarray(x.data.sum(), dtype=x.dtype), (x,), backward, "sum")
-
-
 def linear(x, weight, bias):
     """Dense layer: ``x @ weight.T + bias`` for x of shape B x I, weight O x I."""
-    if x.data.ndim == 3 or weight.data.ndim == 3 or bias.data.ndim == 2:
-        _forward_only("linear", x, weight, bias)
-        if x.data.shape[-1] != weight.data.shape[-1]:
-            raise ShapeError(f"linear expects (.., I) x (.., O, I), got {x.data.shape} "
-                             f"and {weight.data.shape}")
-        return Tensor(np.matmul(x.data, np.swapaxes(weight.data, -1, -2)) + _rows(bias.data))
-    if x.data.ndim != 2 or weight.data.ndim != 2 or x.data.shape[1] != weight.data.shape[1]:
+    if (x.data.ndim not in (2, 3) or weight.data.ndim not in (2, 3)
+            or x.data.shape[-1] != weight.data.shape[-1]):
         raise ShapeError(
             f"linear expects (B,I) x (O,I), got {x.data.shape} and {weight.data.shape}")
+    out = np.matmul(x.data, np.swapaxes(weight.data, -1, -2)) + _rows(bias.data)
     def backward(g):
         _accumulate(x, g @ weight.data)
         _accumulate(weight, g.T @ x.data)
         _accumulate(bias, g.sum(axis=0))
-    return _result(np.dot(x.data, weight.data.T) + bias.data, (x, weight, bias), backward, "linear")
+    leading = x.data.ndim == 3 or weight.data.ndim == 3 or bias.data.ndim == 2
+    return _result(out, (x, weight, bias), backward, "linear", leading)
 
 
 def _pad_hw(a, padding, value=0.0):
@@ -284,17 +265,6 @@ def _pad_hw(a, padding, value=0.0):
                   value, dtype=a.dtype)
     out[..., padding:-padding, padding:-padding] = a
     return out
-
-
-def _conv_windows(xp, kh, kw, stride, out_h, out_w):
-    b, c = xp.shape[:2]
-    sb, sc, sh, sw = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp,
-        (b, c, out_h, out_w, kh, kw),
-        (sb, sc, stride * sh, stride * sw, sh, sw),
-        writeable=False,
-    )
 
 
 def _conv_extent(x_shape, w_shape, stride, padding):
@@ -403,22 +373,19 @@ def conv2d(x, weight, stride=1, padding=0):
         raise ValueError(f"padding must be >= 0, got {padding}")
     if x.data.ndim not in (4, 5) or weight.data.ndim not in (4, 5):
         raise ShapeError("conv2d expects 4D (or replicated 5D) input and weight")
-    replicated = x.data.ndim == 5 or weight.data.ndim == 5
-    if replicated:
-        _forward_only("conv2d", x, weight)
-        if x.data.ndim == weight.data.ndim == 5 and x.data.shape[0] != weight.data.shape[0]:
-            raise ShapeError(f"input has {x.data.shape[0]} replicas, weight {weight.data.shape[0]}")
+    if x.data.ndim == weight.data.ndim == 5 and x.data.shape[0] != weight.data.shape[0]:
+        raise ShapeError(f"input has {x.data.shape[0]} replicas, weight {weight.data.shape[0]}")
+    leading = x.data.ndim == 5 or weight.data.ndim == 5
     kh, kw = weight.data.shape[-2:]
     out_h, out_w = _conv_extent(x.data.shape, weight.data.shape, stride, padding)
     w_mat = weight.data.reshape(weight.data.shape[:-3] + (-1,))
-    if replicated:
-        return Tensor(_conv_forward(x.data, w_mat, kh, kw, stride, padding, out_h, out_w))
-    # OpenBLAS multiplies small untransposed operands with a small-matrix
-    # kernel whose rounding differs from its packed kernel's. A transposed
-    # weight keeps most shapes, the resnet ones among them, on the packed
-    # kernel, whose bits are those of one whole-batch GEMM. (The replica
-    # path keeps the small-matrix kernel: its tiny GEMMs run faster there.)
-    w_mat = np.ascontiguousarray(w_mat.T).T
+    if not leading:
+        # OpenBLAS multiplies small untransposed operands with a small-matrix
+        # kernel whose rounding differs from its packed kernel's. A transposed
+        # weight keeps most shapes, the resnet ones among them, on the packed
+        # kernel, whose bits are those of one whole-batch GEMM. (Replicas keep
+        # the small-matrix kernel: their tiny GEMMs run faster there.)
+        w_mat = np.ascontiguousarray(w_mat.T).T
     out = _conv_forward(x.data, w_mat, kh, kw, stride, padding, out_h, out_w)
 
     def backward(g):
@@ -430,37 +397,33 @@ def conv2d(x, weight, stride=1, padding=0):
         if x.requires_grad:
             _accumulate(x, _conv_input_grad(g, weight.data, x.data.shape, stride, padding))
 
-    return _result(out, (x, weight), backward, "conv2d")
+    return _result(out, (x, weight), backward, "conv2d", leading)
 
 
 def max_pool2d(x, kernel, stride, padding=0):
-    """Max pooling over B x C x H x W; padded cells never win (padded with -inf)."""
+    """Max pooling over (..., B, C, H, W); padded cells never win (padded with -inf)."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    if x.data.ndim == 5:
-        _forward_only("max_pool2d", x)
-        return _folded(max_pool2d, x, kernel, stride, padding)
-    b, c, h, w = x.data.shape
+    h, w = x.data.shape[-2:]
     out_h = (h + 2 * padding - kernel) // stride + 1
     out_w = (w + 2 * padding - kernel) // stride + 1
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"pool kernel {kernel} too large for input {h}x{w} with padding {padding}")
     xp = _pad_hw(x.data, padding, -np.inf)
-    windows = _conv_windows(xp, kernel, kernel, stride, out_h, out_w)
-    flat = windows.reshape(b, c, out_h, out_w, kernel * kernel)
-    arg = flat.argmax(axis=4)
-    out = np.take_along_axis(flat, arg[..., None], axis=4)[..., 0]
+    *lead, sh, sw = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, xp.shape[:-2] + (out_h, out_w, kernel, kernel),
+        (*lead, stride * sh, stride * sw, sh, sw), writeable=False)
+    flat = windows.reshape(windows.shape[:-2] + (kernel * kernel,))
+    arg = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
 
     def backward(g):
         ki, kj = np.divmod(arg, kernel)
-        bi, ci, hi, wi = np.indices(arg.shape, sparse=True)
-        rows = hi * stride + ki
-        cols = wi * stride + kj
-        dxp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
-        np.add.at(dxp, (bi, ci, rows, cols), g)
-        if padding:
-            dxp = dxp[:, :, padding:-padding, padding:-padding]
-        _accumulate(x, dxp)
+        *cells, hi, wi = np.indices(arg.shape, sparse=True)
+        dxp = np.zeros(x.data.shape[:-2] + (h + 2 * padding, w + 2 * padding), dtype=g.dtype)
+        np.add.at(dxp, (*cells, hi * stride + ki, wi * stride + kj), g)
+        _accumulate(x, dxp[..., padding:padding + h, padding:padding + w])
 
     return _result(np.ascontiguousarray(out), (x,), backward, "max_pool2d")
 
@@ -471,26 +434,6 @@ def global_avg_pool(x):
     def backward(g):
         _accumulate(x, np.broadcast_to(g[..., None, None] / (h * w), x.data.shape))
     return _result(x.data.mean(axis=(-2, -1)), (x,), backward, "global_avg_pool")
-
-
-def concat(tensors, axis=1):
-    """Concatenate along ``axis``; all other extents must match."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("concat of zero tensors")
-    base = tensors[0].data.shape
-    for t in tensors[1:]:
-        s = t.data.shape
-        if len(s) != len(base) or any(a != b for i, (a, b) in enumerate(zip(s, base)) if i != axis):
-            raise ShapeError(f"concat shapes differ off-axis: {base} vs {s}")
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets, offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(idx)])
-    return _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward, "concat")
 
 
 def _canonical_reduce(stack, op):
@@ -510,7 +453,7 @@ def _canonical_reduce(stack, op):
 def concat_linear(features, weight, bias):
     """Dense head over the concatenation of k feature blocks.
 
-    Equivalent to ``linear(concat(features), weight, bias)`` but accumulates
+    Equivalent to ``linear`` of the concatenated features but accumulates
     the per-block partial products in canonical order, so permuting blocks
     together with the matching weight columns is bit-exact.
     """
@@ -520,15 +463,10 @@ def concat_linear(features, weight, bias):
         raise ShapeError(
             f"weight expects {weight.data.shape[-1]} input features, blocks sum to {sum(sizes)}")
     offsets = np.cumsum([0] + sizes)
-    if any(f.data.ndim == 3 for f in features) or weight.data.ndim == 3 or bias.data.ndim == 2:
-        _forward_only("concat_linear", weight, bias, *features)
-        partials = np.stack(np.broadcast_arrays(*[
-            np.matmul(f.data, np.swapaxes(weight.data[..., lo:hi], -1, -2))
-            for f, lo, hi in zip(features, offsets, offsets[1:])]))
-        return Tensor(_canonical_reduce(partials, "sum") + _rows(bias.data))
-    blocks = [np.ascontiguousarray(weight.data[:, lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
-    partials = np.stack([np.dot(f.data, blk.T) for f, blk in zip(features, blocks)])
-    out = _canonical_reduce(partials, "sum") + bias.data
+    blocks = [np.ascontiguousarray(weight.data[..., lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
+    partials = np.stack(np.broadcast_arrays(*[
+        np.matmul(f.data, np.swapaxes(blk, -1, -2)) for f, blk in zip(features, blocks)]))
+    out = _canonical_reduce(partials, "sum") + _rows(bias.data)
 
     def backward(g):
         for f, blk, lo, hi in zip(features, blocks, offsets, offsets[1:]):
@@ -539,7 +477,9 @@ def concat_linear(features, weight, bias):
                 weight.grad[:, lo:hi] += g.T @ f.data
         _accumulate(bias, g.sum(axis=0))
 
-    return _result(out, list(features) + [weight, bias], backward, "concat_linear")
+    leading = (any(f.data.ndim == 3 for f in features) or weight.data.ndim == 3
+               or bias.data.ndim == 2)
+    return _result(out, features + [weight, bias], backward, "concat_linear", leading)
 
 
 def elementwise_scale_combine(features, scales, mode="sum"):
@@ -562,13 +502,8 @@ def elementwise_scale_combine(features, scales, mode="sum"):
     for s in scales:
         if s.data.shape[-1:] != (length,) or s.data.ndim > 2:
             raise ShapeError(f"scale shape {s.data.shape} != ({length},)")
-    if any(f.data.ndim == 3 for f in features) or any(s.data.ndim == 2 for s in scales):
-        _forward_only("scale_combine", *features, *scales)
-        scaled = np.stack(np.broadcast_arrays(*[f.data * _rows(s.data)
-                                                for f, s in zip(features, scales)]))
-        return Tensor(_canonical_reduce(scaled, mode))
-
-    scaled = np.stack([f.data * s.data[None, :] for f, s in zip(features, scales)])
+    scaled = np.stack(np.broadcast_arrays(*[f.data * _rows(s.data)
+                                            for f, s in zip(features, scales)]))
     out = _canonical_reduce(scaled, mode)
 
     def backward(g):
@@ -586,7 +521,8 @@ def elementwise_scale_combine(features, scales, mode="sum"):
             _accumulate(f, dscaled[i] * s.data[None, :])
             _accumulate(s, (dscaled[i] * f.data).sum(axis=0))
 
-    return _result(out, features + scales, backward, "scale_combine")
+    leading = any(f.data.ndim == 3 for f in features) or any(s.data.ndim == 2 for s in scales)
+    return _result(out, features + scales, backward, "scale_combine", leading)
 
 
 class BNBuffers:
@@ -611,72 +547,54 @@ def batch_norm2d(x, gamma, beta, buffers, training, momentum=0.1, eps=1e-5):
     updates the running buffers in place as
     ``running <- (1 - momentum) * running + momentum * batch`` (running
     variance uses the unbiased batch estimate). Eval mode normalizes with
-    the running statistics. Output is ``gamma * normalized + beta``.
+    the running statistics. Output is ``gamma * normalized + beta``. With a
+    leading replica axis (on x, gamma or beta) each replica takes its own
+    batch statistics and the running buffers are left alone.
     """
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    if x.data.ndim == 5 or gamma.data.ndim == 2 or beta.data.ndim == 2:
-        return _replica_batch_norm2d(x, gamma, beta, buffers, training, eps)
-    b, c, h, w = x.data.shape
-    if gamma.data.shape != (c,) or beta.data.shape != (c,):
+    if x.data.ndim not in (4, 5):
+        raise ShapeError(f"batch norm expects B x C x H x W input, got {x.data.shape}")
+    b, c, h, w = x.data.shape[-4:]
+    if gamma.data.shape[-1:] != (c,) or beta.data.shape[-1:] != (c,):
         raise ShapeError(f"gamma/beta must have shape ({c},)")
+    leading = x.data.ndim == 5 or gamma.data.ndim == 2 or beta.data.ndim == 2
     n = b * h * w
 
     if training:
         if n < 2:
             raise ValueError(f"training-mode batch norm needs B*H*W >= 2, got {n}")
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
-        buffers.mean = (1.0 - momentum) * buffers.mean + momentum * mean
-        buffers.var = (1.0 - momentum) * buffers.var + momentum * (var * n / (n - 1))
-        buffers.initialized = True
+        mean = x.data.mean(axis=(-4, -2, -1), keepdims=True)
+        var = x.data.var(axis=(-4, -2, -1), keepdims=True)
+        if not leading:
+            buffers.mean = (1.0 - momentum) * buffers.mean + momentum * mean.reshape(c)
+            buffers.var = (1.0 - momentum) * buffers.var + momentum * (var.reshape(c) * n / (n - 1))
+            buffers.initialized = True
     else:
         if not buffers.initialized:
             raise StateError("eval-mode batch norm before any training update of running stats")
-        mean = buffers.mean
-        var = buffers.var
+        mean, var = _channels(buffers.mean), _channels(buffers.var)
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    xhat = (x.data - mean) * inv_std
+    out = _channels(gamma.data) * xhat + _channels(beta.data)
 
     def backward(g):
         _accumulate(gamma, (g * xhat).sum(axis=(0, 2, 3)))
         _accumulate(beta, g.sum(axis=(0, 2, 3)))
         if not x.requires_grad:
             return
-        dxhat = g * gamma.data[None, :, None, None]
+        dxhat = g * _channels(gamma.data)
         if training:
             # Full derivative through the batch statistics.
             s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
             s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-            dx = (inv_std[None, :, None, None] / n) * (n * dxhat - s1 - xhat * s2)
+            dx = (inv_std / n) * (n * dxhat - s1 - xhat * s2)
         else:
-            dx = dxhat * inv_std[None, :, None, None]
+            dx = dxhat * inv_std
         _accumulate(x, dx)
 
-    return _result(out, (x, gamma, beta), backward, "batch_norm2d")
-
-
-def _replica_batch_norm2d(x, gamma, beta, buffers, training, eps):
-    # Each replica is normalized by its own batch statistics (training) or
-    # the shared running ones (eval); the running buffers are not updated.
-    _forward_only("batch_norm2d", x, gamma, beta)
-    xd = x.data if x.data.ndim == 5 else x.data[None]
-    _, b, c, h, w = xd.shape
-    if gamma.data.shape[-1:] != (c,) or beta.data.shape[-1:] != (c,):
-        raise ShapeError(f"gamma/beta must have shape ({c},) or (R, {c})")
-    if training:
-        if b * h * w < 2:
-            raise ValueError(f"training-mode batch norm needs B*H*W >= 2, got {b * h * w}")
-        mean = xd.mean(axis=(1, 3, 4), keepdims=True)
-        var = xd.var(axis=(1, 3, 4), keepdims=True)
-    else:
-        if not buffers.initialized:
-            raise StateError("eval-mode batch norm before any training update of running stats")
-        mean, var = _channels(buffers.mean), _channels(buffers.var)
-    xhat = (xd - mean) * (1.0 / np.sqrt(var + eps))
-    return Tensor(_channels(gamma.data) * xhat + _channels(beta.data))
+    return _result(out, (x, gamma, beta), backward, "batch_norm2d", leading)
 
 
 def softmax_cross_entropy(logits, labels):
@@ -694,17 +612,19 @@ def softmax_cross_entropy(logits, labels):
         bad = int(np.argmax((labels < 0) | (labels >= p)))
         raise ValueError(f"label {labels[bad]} at index {bad} outside [0, {p})")
 
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - log_z
+    log_probs = log_softmax(logits.data)
     loss = -log_probs[..., np.arange(b), labels].mean(axis=-1)
-    if logits.data.ndim == 3:
-        _forward_only("softmax_xent", logits)
-        return Tensor(loss)
 
     def backward(g):
         d = np.exp(log_probs)
         d[np.arange(b), labels] -= 1.0
         _accumulate(logits, d * (g / b))
 
-    return _result(np.asarray(loss, dtype=logits.dtype), (logits,), backward, "softmax_xent")
+    return _result(np.asarray(loss, dtype=logits.dtype), (logits,), backward, "softmax_xent",
+                   logits.data.ndim == 3)
+
+
+def log_softmax(z):
+    """Log-softmax of an array over its last axis, log-sum-exp stabilized."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))

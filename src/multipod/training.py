@@ -136,22 +136,10 @@ class EvalResult:
     loss: float
 
 
-def _softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _topk_hits(scores, labels, k):
     # stable argsort of -scores: ties resolve to the lowest class index
     order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
     return (order == np.asarray(labels)[:, None]).any(axis=1)
-
-
-def _xent(logits, labels):
-    z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    return lse - z[np.arange(len(labels)), labels]
 
 
 def _center_crop(pixels, size):
@@ -181,7 +169,7 @@ def evaluate_center_crop(model, batch, aug, batch_size=256):
         logits = _eval_forward(model, pixels, aug)
         hits1 += int(_topk_hits(logits, labels, 1).sum())
         hits5 += int(_topk_hits(logits, labels, min(5, classes)).sum())
-        loss_sum += float(_xent(logits, labels).sum())
+        loss_sum -= float(T.log_softmax(logits)[np.arange(len(labels)), labels].sum())
     n = len(batch)
     return EvalResult(hits1 / n, hits5 / n, loss_sum / n)
 
@@ -214,7 +202,7 @@ def evaluate_ten_crop(model, batch, aug, crop_size=None, batch_size=64):
         mean_probs = np.zeros((len(labels), classes), dtype=np.float64)
         for view in _ten_crop_views(pixels, size):
             logits = _eval_forward(model, np.ascontiguousarray(view), aug)
-            mean_probs += _softmax(logits.astype(np.float64))
+            mean_probs += np.exp(T.log_softmax(logits.astype(np.float64)))
         mean_probs /= 10.0
         hits1 += int(_topk_hits(mean_probs, labels, 1).sum())
         hits5 += int(_topk_hits(mean_probs, labels, min(5, classes)).sum())
@@ -325,6 +313,19 @@ def load_checkpoint(path):
                       int(meta["epoch"]), int(meta["seed"]), float(meta["best_top1"]))
 
 
+def _truncate_log(path, epoch):
+    # Keep only the log records of epochs before ``epoch``, written whole:
+    # a line cut short by a crash is dropped too.
+    kept = []
+    if epoch > 0 and os.path.exists(path):
+        with open(path) as f:
+            kept = [line for line in f if line.endswith("\n") and json.loads(line)["epoch"] < epoch]
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as f:
+        f.writelines(kept)
+    os.replace(tmp, path)
+
+
 @dataclass
 class TrainResult:
     records: list
@@ -341,6 +342,9 @@ def train(model, train_batch, eval_batch, schedule, aug, out_dir=None,
     forward/backward/SGD with lr_at_epoch, then a full center-crop evaluation.
     The checkpoint with the best eval top-1 is retained (first best wins on
     ties). A non-finite loss aborts with the epoch and step in the message.
+    With ``out_dir``, records are appended to its ``train_log.jsonl`` after
+    dropping those of epochs at or past the start: a fresh run starts a clean
+    log, and a resumed run drops any epoch its checkpoint does not hold.
     """
     schedule.validate()
     aug.validate(image_size=train_batch.pixels.shape[-1])
@@ -361,7 +365,9 @@ def train(model, train_batch, eval_batch, schedule, aug, out_dir=None,
     log_file = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        log_file = open(os.path.join(out_dir, "train_log.jsonl"), "a")
+        log_path = os.path.join(out_dir, "train_log.jsonl")
+        _truncate_log(log_path, start_epoch)
+        log_file = open(log_path, "a")
 
     n = len(train_batch)
     records = []

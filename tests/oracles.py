@@ -1,12 +1,26 @@
 """Independent brute-force reference implementations used to verify the
 library. Everything here is deliberately naive (nested loops, direct
 formulas) and shares no code with the package under test, except
-``fd_quotients_oracle``: it references the gradient checker, so it drives
-the model's own forward one perturbed scalar at a time."""
+``fd_quotients_oracle``, which references the gradient checker, so it drives
+the model's own forward one perturbed scalar at a time, and ``tensor_sum``,
+a graph node built with the engine's own node constructor."""
 
 import numpy as np
 
 from multipod import tensor as T
+
+
+def tensor_sum(x):
+    """Sum of all elements as a scalar graph node: the loss the op tests
+    backpropagate from."""
+    def backward(g):
+        T._accumulate(x, np.broadcast_to(g, x.data.shape))
+    return T._result(np.asarray(x.data.sum(), dtype=x.dtype), (x,), backward, "sum")
+
+
+def concat(tensors):
+    """B x P_i feature blocks joined into one B x sum(P_i) tensor, forward only."""
+    return T.Tensor(np.concatenate([t.data for t in tensors], axis=1))
 
 
 def conv2d_oracle(x, w, stride=1, padding=0):

@@ -141,6 +141,17 @@ class TestTrain:
         saved = json.loads((out_dir / "config.json").read_text())
         assert saved["schedule"]["epochs"] == 1
 
+    @pytest.mark.parametrize("flag,value,field", [("--epochs", "1", "milestones"),
+                                                  ("--batch-size", "0", "batch_size"),
+                                                  ("--seed", "-1", "seed")])
+    def test_override_error_names_flag(self, tmp_path, capsys, flag, value, field):
+        out_dir = tmp_path / "run"
+        cfg = write_config(tmp_path, out_dir=str(out_dir), **{"schedule.milestones": [1]})
+        assert main(["train", "--config", cfg, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} {value}" in err and field in err
+        assert not out_dir.exists()
+
     def test_output_dir_env_fallback(self, tmp_path, capsys, monkeypatch):
         env_dir = tmp_path / "from-env"
         monkeypatch.setenv("MULTIPOD_OUTPUT_DIR", str(env_dir))

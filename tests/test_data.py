@@ -3,8 +3,8 @@ import pytest
 
 from multipod.data import (AugmentationSpec, CIFAR10_MEAN, CIFAR10_STD, DataError,
                            ImageBatch, JitterSpec, color_jitter, load_cifar10,
-                           make_pod_inputs, normalize, pad_random_crop, random_hflip,
-                           sample_rng, synthetic_dataset)
+                           make_pod_inputs, normalize, pad_random_crop, sample_rng,
+                           synthetic_dataset)
 
 RECORD = 3073
 
@@ -128,36 +128,6 @@ class TestPadRandomCrop:
             pad_random_crop(np.zeros((1, 3, 8, 8)), 1, 11)
 
 
-class TestRandomHflip:
-    def test_prob_zero_is_identity(self, rng):
-        x = rng.random((4, 3, 5, 5), dtype=np.float32)
-        assert np.array_equal(random_hflip(x, 0.0, rng=np.random.default_rng(0)), x)
-
-    def test_flip_is_involution(self, rng):
-        x = rng.random((3, 3, 4, 4), dtype=np.float32)
-        once = random_hflip(x, 1.0, decisions=[True] * 3)
-        twice = random_hflip(once, 1.0, decisions=[True] * 3)
-        assert not np.array_equal(once, x)
-        assert np.array_equal(twice, x)
-
-    def test_flip_reverses_width(self):
-        x = np.arange(4.0).reshape(1, 1, 1, 4)
-        out = random_hflip(x, 1.0, decisions=[True])
-        assert out[0, 0, 0].tolist() == [3.0, 2.0, 1.0, 0.0]
-
-    def test_flip_fraction_near_half(self):
-        # width-2 ramps so a flip is detectable per image
-        x = np.zeros((10_000, 3, 1, 2), dtype=np.float32)
-        x[..., 1] = 1.0
-        out = random_hflip(x, 0.5, rng=np.random.default_rng(123))
-        frac = float((out[:, 0, 0, 0] == 1.0).mean())
-        assert 0.48 <= frac <= 0.52
-
-    def test_bad_prob_rejected(self):
-        with pytest.raises(ValueError):
-            random_hflip(np.zeros((1, 3, 2, 2)), 1.5, rng=np.random.default_rng(0))
-
-
 class TestColorJitter:
     def test_unit_factors_are_identity(self, rng):
         img = rng.random((3, 6, 6), dtype=np.float32)
@@ -259,6 +229,8 @@ class TestMakePodInputs:
         ref = normalize(px, CIFAR10_MEAN, CIFAR10_STD)
         for p in pods:
             assert np.array_equal(p, ref)
+            # one read-only array serves every pod
+            assert np.shares_memory(p, pods[0]) and not p.flags.writeable
 
     def test_eval_mode_ignores_seed_and_epoch(self):
         px = small_batch()
@@ -333,6 +305,26 @@ class TestMakePodInputs:
         spec = plain_spec(jitter=JitterSpec(), routing="per-pod-jitter")
         for p in make_pod_inputs(px, spec, 2, epoch=0):
             assert p.min() >= 0.0 and p.max() <= 1.0
+
+    def test_train_flip_reverses_width(self):
+        px = small_batch()
+        pods = make_pod_inputs(px, plain_spec(pad=0, hflip_prob=1.0), 2)
+        for p in pods:
+            assert np.array_equal(p, px[..., ::-1])
+
+    def test_train_flip_prob_zero_is_identity(self):
+        px = small_batch()
+        pods = make_pod_inputs(px, plain_spec(pad=0, hflip_prob=0.0), 2)
+        for p in pods:
+            assert np.array_equal(p, px)
+
+    def test_train_flip_fraction_near_half(self):
+        # width-2 ramps so a flip is detectable per image
+        x = np.zeros((10_000, 3, 2, 2), dtype=np.float32)
+        x[..., 1] = 1.0
+        (out,) = make_pod_inputs(x, plain_spec(pad=0, crop_size=2, seed=123), 1)
+        frac = float((out[:, 0, 0, 0] == 1.0).mean())
+        assert 0.48 <= frac <= 0.52
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import multipod.tensor as T
-from oracles import (batch_norm_train_oracle, conv2d_oracle, fd_gradient,
-                     max_pool_oracle, softmax_oracle, softmax_xent_oracle)
+from oracles import (batch_norm_train_oracle, concat, conv2d_oracle, fd_gradient,
+                     max_pool_oracle, softmax_oracle, softmax_xent_oracle, tensor_sum)
 
 
 def t64(arr, requires_grad=False):
@@ -40,25 +40,25 @@ class TestTensorBasics:
 
     def test_sum_gradient_is_ones(self):
         x = t64(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        T.tensor_sum(x).backward()
+        tensor_sum(x).backward()
         assert np.array_equal(x.grad, np.ones((2, 3)))
 
     def test_half_square_gradient_is_x(self):
         x = t64([[1.0, -2.0], [3.0, 0.5]], requires_grad=True)
-        loss = T.mul(T.tensor_sum(T.mul(x, x)), 0.5)
+        loss = T.mul(tensor_sum(T.mul(x, x)), 0.5)
         loss.backward()
         assert np.allclose(x.grad, x.data)
 
     def test_backward_accumulates_across_calls(self):
         x = t64([1.0, 2.0], requires_grad=True)
-        T.tensor_sum(x).backward()
-        T.tensor_sum(x).backward()
+        tensor_sum(x).backward()
+        tensor_sum(x).backward()
         assert np.array_equal(x.grad, [2.0, 2.0])
 
     def test_shared_subexpression_grad_counted_once_per_use(self):
         x = t64([3.0], requires_grad=True)
         y = x + x
-        T.tensor_sum(y).backward()
+        tensor_sum(y).backward()
         assert np.array_equal(x.grad, [2.0])
 
     def test_no_grad_suppresses_graph(self):
@@ -98,7 +98,7 @@ class TestBroadcastArithmetic:
     def test_add_broadcast_gradients(self):
         a = t64(np.ones((2, 3)), requires_grad=True)
         b = t64(np.ones((3,)), requires_grad=True)
-        T.tensor_sum(a + b).backward()
+        tensor_sum(a + b).backward()
         assert a.grad.shape == (2, 3) and b.grad.shape == (3,)
         assert np.array_equal(b.grad, [2.0, 2.0, 2.0])
 
@@ -108,9 +108,9 @@ class TestBroadcastArithmetic:
         a = t64(rng.normal(size=(n, m)), requires_grad=True)
         b = t64(rng.normal(size=(m,)), requires_grad=True)
         cot = rng.normal(size=(n, m))
-        loss = T.tensor_sum(T.mul(T.mul(a, b), t64(cot)))
+        loss = tensor_sum(T.mul(T.mul(a, b), t64(cot)))
         loss.backward()
-        fd_a = fd_gradient(lambda: float(T.tensor_sum(T.mul(T.mul(a, b), t64(cot))).data), a.data)
+        fd_a = fd_gradient(lambda: float(tensor_sum(T.mul(T.mul(a, b), t64(cot))).data), a.data)
         assert_grad_close(fd_a, a.grad)
 
 
@@ -121,7 +121,7 @@ class TestRelu:
 
     def test_gradient_masks_negatives(self):
         x = t64([[-1.0, 3.0]], requires_grad=True)
-        T.tensor_sum(T.relu(x)).backward()
+        tensor_sum(T.relu(x)).backward()
         assert np.array_equal(x.grad, [[0.0, 1.0]])
 
     @given(st.integers(0, 100))
@@ -149,8 +149,8 @@ class TestLinear:
         b = t64(rng.normal(size=(2,)), requires_grad=True)
         cot = rng.normal(size=(3, 2))
         def loss():
-            return float(T.tensor_sum(T.mul(T.linear(x, w, b), t64(cot))).data)
-        T.tensor_sum(T.mul(T.linear(x, w, b), t64(cot))).backward()
+            return float(tensor_sum(T.mul(T.linear(x, w, b), t64(cot))).data)
+        tensor_sum(T.mul(T.linear(x, w, b), t64(cot))).backward()
         assert_grad_close(fd_gradient(loss, x.data), x.grad)
         assert_grad_close(fd_gradient(loss, w.data), w.grad)
         assert_grad_close(fd_gradient(loss, b.data), b.grad)
@@ -213,8 +213,8 @@ class TestConv2d:
         w = t64(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
         cot = rng.normal(size=(2, 3, 3, 3))
         def loss():
-            return float(T.tensor_sum(T.mul(T.conv2d(x, w, stride=2, padding=1), t64(cot))).data)
-        T.tensor_sum(T.mul(T.conv2d(x, w, stride=2, padding=1), t64(cot))).backward()
+            return float(tensor_sum(T.mul(T.conv2d(x, w, stride=2, padding=1), t64(cot))).data)
+        tensor_sum(T.mul(T.conv2d(x, w, stride=2, padding=1), t64(cot))).backward()
         assert_grad_close(fd_gradient(loss, x.data), x.grad)
         assert_grad_close(fd_gradient(loss, w.data), w.grad)
 
@@ -258,7 +258,7 @@ class TestConvChunks:
         x = t64(rng.normal(size=(self.B, self.C, self.H, self.H)), requires_grad=True)
         w = t64(rng.normal(size=(self.C, self.C, k, k)), requires_grad=True)
         cot = t64(rng.normal(size=(self.B, self.C, self.out(k, s, p), self.out(k, s, p))))
-        loss = lambda: T.tensor_sum(T.mul(T.conv2d(x, w, stride=s, padding=p), cot))
+        loss = lambda: tensor_sum(T.mul(T.conv2d(x, w, stride=s, padding=p), cot))
         loss().backward()
         value = lambda: float(loss().data)
         assert_grad_close(fd_gradient(value, x.data), x.grad)
@@ -280,8 +280,8 @@ class TestMaxPool:
         x = t64(rng.normal(size=(1, 2, 6, 6)), requires_grad=True)
         cot = rng.normal(size=(1, 2, 3, 3))
         def loss():
-            return float(T.tensor_sum(T.mul(T.max_pool2d(x, 2, 2), t64(cot))).data)
-        T.tensor_sum(T.mul(T.max_pool2d(x, 2, 2), t64(cot))).backward()
+            return float(tensor_sum(T.mul(T.max_pool2d(x, 2, 2), t64(cot))).data)
+        tensor_sum(T.mul(T.max_pool2d(x, 2, 2), t64(cot))).backward()
         assert_grad_close(fd_gradient(loss, x.data), x.grad)
 
 
@@ -290,32 +290,8 @@ class TestGlobalAvgPool:
         x = t64(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
         out = T.global_avg_pool(x)
         assert np.allclose(out.data, x.data.mean(axis=(2, 3)))
-        T.tensor_sum(out).backward()
+        tensor_sum(out).backward()
         assert np.allclose(x.grad, np.full(x.data.shape, 1.0 / 20))
-
-
-class TestConcat:
-    def test_feature_lengths_add(self, rng):
-        parts = [t64(rng.normal(size=(2, 64))) for _ in range(3)]
-        assert T.concat(parts).data.shape == (2, 192)
-
-    def test_slicing_recovers_inputs_bit_exact(self, rng):
-        parts = [t64(rng.normal(size=(3, n))) for n in (2, 5, 1)]
-        out = T.concat(parts).data
-        offsets = np.cumsum([0, 2, 5, 1])
-        for p, lo, hi in zip(parts, offsets, offsets[1:]):
-            assert np.array_equal(out[:, lo:hi], p.data)
-
-    def test_off_axis_mismatch_raises(self, rng):
-        with pytest.raises(T.ShapeError):
-            T.concat([t64(np.ones((2, 3))), t64(np.ones((3, 3)))])
-
-    def test_gradient_slices_back(self, rng):
-        parts = [t64(rng.normal(size=(2, n)), requires_grad=True) for n in (3, 4)]
-        cot = rng.normal(size=(2, 7))
-        T.tensor_sum(T.mul(T.concat(parts), t64(cot))).backward()
-        assert np.array_equal(parts[0].grad, cot[:, :3])
-        assert np.array_equal(parts[1].grad, cot[:, 3:])
 
 
 class TestConcatLinear:
@@ -324,7 +300,7 @@ class TestConcatLinear:
         w = t64(rng.normal(size=(2, 15)))
         b = t64(rng.normal(size=(2,)))
         got = T.concat_linear(feats, w, b).data
-        ref = T.linear(T.concat(feats), w, b).data
+        ref = T.linear(concat(feats), w, b).data
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
 
     def test_single_block_is_bitwise_linear(self, rng):
@@ -343,8 +319,8 @@ class TestConcatLinear:
         b = t64(rng.normal(size=(2,)), requires_grad=True)
         cot = rng.normal(size=(2, 2))
         def loss():
-            return float(T.tensor_sum(T.mul(T.concat_linear(feats, w, b), t64(cot))).data)
-        T.tensor_sum(T.mul(T.concat_linear(feats, w, b), t64(cot))).backward()
+            return float(tensor_sum(T.mul(T.concat_linear(feats, w, b), t64(cot))).data)
+        tensor_sum(T.mul(T.concat_linear(feats, w, b), t64(cot))).backward()
         for leaf in feats + [w, b]:
             assert_grad_close(fd_gradient(loss, leaf.data), leaf.grad)
 
@@ -382,9 +358,9 @@ class TestScaleCombine:
         scales = [t64(rng.uniform(0.5, 1.5, size=3), requires_grad=True) for _ in range(3)]
         cot = rng.normal(size=(2, 3))
         def loss():
-            return float(T.tensor_sum(
+            return float(tensor_sum(
                 T.mul(T.elementwise_scale_combine(feats, scales, mode), t64(cot))).data)
-        T.tensor_sum(T.mul(T.elementwise_scale_combine(feats, scales, mode), t64(cot))).backward()
+        tensor_sum(T.mul(T.elementwise_scale_combine(feats, scales, mode), t64(cot))).backward()
         for leaf in feats + scales:
             assert_grad_close(fd_gradient(loss, leaf.data), leaf.grad)
 
@@ -467,7 +443,7 @@ class TestBatchNorm:
         cot = rng.normal(size=(2, 2, 3, 3))
         def forward():
             out = T.batch_norm2d(x, gamma, beta, T.BNBuffers(2, np.float64), training=True)
-            return T.tensor_sum(T.mul(out, t64(cot)))
+            return tensor_sum(T.mul(out, t64(cot)))
         forward().backward()
         for leaf in (x, gamma, beta):
             assert_grad_close(fd_gradient(lambda: float(forward().data), leaf.data), leaf.grad)
@@ -482,7 +458,7 @@ class TestBatchNorm:
         cot = rng.normal(size=(2, 2, 3, 3))
         def forward():
             out = T.batch_norm2d(x, gamma, beta, buffers, training=False)
-            return T.tensor_sum(T.mul(out, t64(cot)))
+            return tensor_sum(T.mul(out, t64(cot)))
         forward().backward()
         for leaf in (x, gamma, beta):
             assert_grad_close(fd_gradient(lambda: float(forward().data), leaf.data), leaf.grad)
@@ -541,18 +517,6 @@ def test_conv_output_shape_formula(b, c, h, w):
     assert out.data.shape == (b, 2, (h + 2 - 2) // 2 + 1, (w + 2 - 2) // 2 + 1)
 
 
-@given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.integers(0, 1000))
-def test_concat_slice_roundtrip(widths, seed):
-    rng = np.random.default_rng(seed)
-    parts = [T.Tensor(rng.normal(size=(2, w)), dtype=np.float64) for w in widths]
-    out = T.concat(parts).data
-    lo = 0
-    for p in parts:
-        hi = lo + p.data.shape[1]
-        assert np.array_equal(out[:, lo:hi], p.data)
-        lo = hi
-
-
 class TestReplicaAxis:
     """Ops given a leading replica axis equal, in value, one plain call per replica."""
 
@@ -594,9 +558,15 @@ class TestReplicaAxis:
         x = rng.normal(size=(self.R, 2, 3, 5, 5))
         self.assert_per_replica(T.global_avg_pool(t64(x)).data,
                                 [T.global_avg_pool(t64(xr)).data for xr in x])
-        with T.no_grad():
-            self.assert_per_replica(T.max_pool2d(t64(x), 3, 2, 1).data,
-                                    [T.max_pool2d(t64(xr), 3, 2, 1).data for xr in x])
+        self.assert_per_replica(T.max_pool2d(t64(x), 3, 2, 1).data,
+                                [T.max_pool2d(t64(xr), 3, 2, 1).data for xr in x])
+        # max pooling's backward takes any leading axes, so it records a graph
+        stacked = t64(x, requires_grad=True)
+        tensor_sum(T.max_pool2d(stacked, 3, 2, 1)).backward()
+        for r, xr in enumerate(x):
+            plain = t64(xr, requires_grad=True)
+            tensor_sum(T.max_pool2d(plain, 3, 2, 1)).backward()
+            assert np.array_equal(stacked.grad[r], plain.grad)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_batch_norm_per_replica_statistics(self, rng, training):
@@ -651,7 +621,20 @@ class TestReplicaAxis:
     def test_replica_path_is_forward_only(self, rng):
         x = t64(rng.normal(size=(2, 1, 3, 4, 4)))
         w = t64(rng.normal(size=(2, 3, 3, 3)), requires_grad=True)
-        with pytest.raises(T.StateError, match="forward-only"):
-            T.conv2d(x, w, padding=1)
+        ones = t64(np.ones(3), requires_grad=True)
+        feats = t64(rng.normal(size=(2, 1, 3)))
+        dense = t64(rng.normal(size=(4, 3)), requires_grad=True)
+        bias = t64(np.zeros(4), requires_grad=True)
+        running = T.BNBuffers(3, np.float64)
+        logits = t64(rng.normal(size=(2, 1, 4)), requires_grad=True)
+        for call in (lambda: T.conv2d(x, w, padding=1),
+                     lambda: T.batch_norm2d(x, ones, ones, running, training=True),
+                     lambda: T.linear(feats, dense, bias),
+                     lambda: T.concat_linear([feats], dense, bias),
+                     lambda: T.elementwise_scale_combine([feats], [ones], "sum"),
+                     lambda: T.softmax_cross_entropy(logits, [0])):
+            with pytest.raises(T.StateError, match="forward-only"):
+                call()
+        assert not running.initialized
         with T.no_grad():
             assert T.conv2d(x, w, padding=1).shape == (2, 1, 2, 4, 4)

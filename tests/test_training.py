@@ -417,6 +417,41 @@ class TestTrainLoop:
         for name, arr in model_a.store.param_values().items():
             assert np.array_equal(arr, model_c.store.param_values()[name]), name
 
+    def test_fresh_run_into_used_directory_starts_a_clean_log(self, tmp_path):
+        sched = TrainingSchedule(base_lr=0.05, milestones=(), epochs=2, batch_size=8)
+        for _ in range(2):
+            model, train_batch, eval_batch, aug = tiny_setup()
+            train(model, train_batch, eval_batch, sched, aug, out_dir=str(tmp_path))
+        rows = [json.loads(l) for l in (tmp_path / "train_log.jsonl").read_text().splitlines()]
+        assert [r["epoch"] for r in rows] == [0, 1]
+
+    def test_resume_after_crash_before_checkpoint_save_logs_each_epoch_once(
+            self, tmp_path, monkeypatch):
+        sched = TrainingSchedule(base_lr=0.05, milestones=(2,), epochs=4, batch_size=8)
+        model_a, train_batch, eval_batch, aug = tiny_setup()
+        full = train(model_a, train_batch, eval_batch, sched, aug)
+
+        # the second epoch is logged, then its last.ckpt save crashes
+        def crash_on_second_last_ckpt(ckpt, path):
+            if path.endswith("last.ckpt") and ckpt.epoch == 2:
+                raise OSError("crash before the checkpoint save")
+            save_checkpoint(ckpt, path)
+
+        monkeypatch.setattr("multipod.training.save_checkpoint", crash_on_second_last_ckpt)
+        model_b, _, _, _ = tiny_setup()
+        with pytest.raises(OSError, match="crash"):
+            train(model_b, train_batch, eval_batch, sched, aug, out_dir=str(tmp_path))
+        monkeypatch.undo()
+        ckpt = load_checkpoint(tmp_path / "last.ckpt")
+        assert ckpt.epoch == 1
+
+        model_c, _, _, _ = tiny_setup()
+        train(model_c, train_batch, eval_batch, sched, aug, out_dir=str(tmp_path),
+              resume_from=ckpt)
+        rows = [json.loads(l) for l in (tmp_path / "train_log.jsonl").read_text().splitlines()]
+        assert ([{k: v for k, v in r.items() if k != "wall_time"} for r in rows]
+                == [r.comparable() for r in full.records])
+
     def test_resume_with_wrong_seed_rejected(self, tmp_path):
         model, train_batch, eval_batch, aug = tiny_setup(seed=0)
         sched = TrainingSchedule(base_lr=0.05, milestones=(), epochs=2, batch_size=8)
