@@ -41,6 +41,8 @@ class RunConfig:
 
 
 def _parse_data_section(d, errors):
+    # None when any field is invalid; the errors name each one
+    reported = len(errors)
     kind = d.get("kind")
     if kind not in DATA_KINDS:
         errors.append(f"data.kind: must be one of {DATA_KINDS}, got {kind!r}")
@@ -63,7 +65,7 @@ def _parse_data_section(d, errors):
                               + (f" >= {low}" if low is not None else "") + f", got {val!r}")
             else:
                 out[key] = val
-    return out
+    return out if len(errors) == reported else None
 
 
 def parse_config(doc):
@@ -129,9 +131,25 @@ def parse_config(doc):
             errors.append(f"augmentation.crop_size: {augmentation.crop_size} exceeds padded "
                           f"synthetic image size {data['size'] + 2 * augmentation.pad}")
 
+    # each key must be one RunConfig.to_dict writes; a section that did not
+    # parse has its own error and is not searched
+    _unknown_keys(doc, {"schema_version": version, "seed": seed, "output_dir": output_dir,
+                        "model": model and model.to_dict(), "data": data,
+                        "schedule": schedule and schedule.to_dict(),
+                        "augmentation": augmentation and augmentation.to_dict()}, "", errors)
+
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
     return RunConfig(model, data, schedule, augmentation, output_dir, seed)
+
+
+def _unknown_keys(doc, written, path, errors):
+    # Report, by dotted path, each key of ``doc`` that ``written`` lacks.
+    for key, value in doc.items():
+        if key not in written:
+            errors.append(f"{path}{key}: unknown key")
+        elif isinstance(value, dict) and isinstance(written[key], dict):
+            _unknown_keys(value, written[key], f"{path}{key}.", errors)
 
 
 def load_config(path):

@@ -124,7 +124,8 @@ def gradient_check(model, inputs, labels, h=1e-5, tol=1e-5, atol=1e-8, progress=
 
     A scalar passes when |fd - analytic| <= atol + tol * max(|fd|, |analytic|);
     the reported relative error is |fd - analytic| / (atol/tol + max magnitude)
-    so that "error < tol" is exactly the pass condition. ``sample_stride`` > 1
+    so that "error < tol" is exactly the pass condition. A non-finite
+    quotient or gradient fails its scalar (error inf). ``sample_stride`` > 1
     checks only every Nth scalar per tensor (smoke-test mode); the default
     covers everything. Parameters and BN buffers are left bit-identical to
     their state on entry.
@@ -132,6 +133,8 @@ def gradient_check(model, inputs, labels, h=1e-5, tol=1e-5, atol=1e-8, progress=
     store = model.store
     if store.dtype != np.float64:
         raise ValueError("gradient check requires a float64 model")
+    if not h > 0:
+        raise ValueError(f"finite-difference step h must be > 0, got {h}")
 
     floor = atol / tol if tol > 0 else 0.0
     worst_rel = 0.0
@@ -148,6 +151,7 @@ def gradient_check(model, inputs, labels, h=1e-5, tol=1e-5, atol=1e-8, progress=
         for name, positions, fd in finite_differences(model, inputs, labels, h, sample_stride):
             an = analytic[name].reshape(-1)[positions]
             rel = np.abs(fd - an) / np.maximum(floor + np.maximum(np.abs(fd), np.abs(an)), 1e-300)
+            rel[~(np.isfinite(fd) & np.isfinite(an))] = np.inf
             high = float(rel.max())
             if high > worst_rel:
                 worst_rel, worst_param = high, name

@@ -141,9 +141,6 @@ class ParamStore:
     def param(self, name):
         return self._params[name]
 
-    def names(self):
-        return list(self._params)
-
     def items(self):
         return self._params.items()
 

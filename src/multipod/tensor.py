@@ -86,9 +86,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={self._op or 'leaf'})"
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         """Populate ``.grad`` of every reachable tensor with d(self)/d(tensor).
 
@@ -108,17 +105,6 @@ class Tensor:
         return add(self, other)
 
     __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 def _toposort(root):
@@ -256,17 +242,6 @@ def linear(x, weight, bias):
     return _result(out, (x, weight, bias), backward, "linear", leading)
 
 
-def _pad_hw(a, padding, value=0.0):
-    # ``a`` framed by ``padding`` cells of ``value`` on its two trailing axes;
-    # the same array np.pad gives, without its per-call overhead.
-    if not padding:
-        return a
-    out = np.full(a.shape[:-2] + (a.shape[-2] + 2 * padding, a.shape[-1] + 2 * padding),
-                  value, dtype=a.dtype)
-    out[..., padding:-padding, padding:-padding] = a
-    return out
-
-
 def _conv_extent(x_shape, w_shape, stride, padding):
     c, h, w = x_shape[-3:]
     c2, kh, kw = w_shape[-3:]
@@ -283,83 +258,71 @@ def _conv_extent(x_shape, w_shape, stride, padding):
 _CONV_CHUNK_BYTES = 1 << 20
 
 
-def _chunk_images(b, image_bytes):
-    return min(b, max(1, _CONV_CHUNK_BYTES // image_bytes))
+def _placed(count, offset, spacing, size):
+    # (source, frame) slices along one axis: sample i sits at offset +
+    # spacing * i, and samples outside [0, size) are dropped.
+    lo = max(0, -(offset // spacing))
+    hi = max(lo, min(count, -((offset - size) // spacing)))
+    return slice(lo, hi), slice(offset + spacing * lo, offset + spacing * hi, spacing)
 
 
-def _unfold_into(col, xp, stride, out_h, out_w):
-    # Fill col (..., n, C, kH, kW, outH, outW) with the receptive fields of
-    # the padded images xp (..., n, C, Hp, Wp): one strided slice copy per
-    # kernel tap, each moving whole output rows along the width.
-    kh, kw = col.shape[-4:-2]
-    rows, cols = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
-    for i in range(kh):
-        for j in range(kw):
-            col[..., i, j, :, :] = xp[..., i:i + rows:stride, j:j + cols:stride]
-    return col
-
-
-def _unfolded(x, kh, kw, stride, padding, out_h, out_w):
+def _unfolded(x, kh, kw, stride, out_h, out_w, offsets, spacing=1):
     # Yield (lo, hi, col) over chunks of the images of x (..., B, C, H, W),
     # col (..., hi - lo, C*kH*kW, outH*outW) being images lo:hi unfolded.
-    # The buffers are reused: col is valid until the next step.
+    # A chunk is unfolded from a zero frame of the extent the taps read,
+    # holding its samples ``spacing`` cells apart from ``offsets`` (top,
+    # left) on: spacing 1 frames a padded image, spacing s the stride-s
+    # upsampling that a strided conv's adjoint convolves. The buffers are
+    # reused: col is valid until the next step.
     *lead, b, c, h, w = x.shape
-    n = _chunk_images(b, math.prod(lead) * c * kh * kw * out_h * out_w * x.itemsize)
-    xp = np.zeros((*lead, n, c, h + 2 * padding, w + 2 * padding), x.dtype) if padding else None
+    n = min(b, max(1, _CONV_CHUNK_BYTES // (
+        math.prod(lead) * c * kh * kw * out_h * out_w * x.itemsize)))
+    rows, cols = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
+    frame = None
+    if spacing != 1 or any(offsets):
+        src_h, dst_h = _placed(h, offsets[0], spacing, rows + kh - 1)
+        src_w, dst_w = _placed(w, offsets[1], spacing, cols + kw - 1)
+        # the zeros are written once; each chunk overwrites the same samples
+        frame = np.zeros((*lead, n, c, rows + kh - 1, cols + kw - 1), x.dtype)
     col = np.empty((*lead, n, c, kh, kw, out_h, out_w), x.dtype)
     for lo in range(0, b, n):
         m = min(n, b - lo)
         src = x[..., lo:lo + m, :, :, :]
-        if padding:
-            # the zero border is written once; each chunk overwrites the interior
-            xp[..., :m, :, padding:padding + h, padding:padding + w] = src
-            src = xp[..., :m, :, :, :]
-        chunk = _unfold_into(col[..., :m, :, :, :, :, :], src, stride, out_h, out_w)
+        if frame is not None:
+            frame[..., :m, :, dst_h, dst_w] = src[..., src_h, src_w]
+            src = frame[..., :m, :, :, :]
+        chunk = col[..., :m, :, :, :, :, :]
+        # one strided slice copy per kernel tap, each moving whole output
+        # rows along the width
+        for i in range(kh):
+            for j in range(kw):
+                chunk[..., i, j, :, :] = src[..., i:i + rows:stride, j:j + cols:stride]
         yield lo, lo + m, chunk.reshape(*lead, m, c * kh * kw, out_h * out_w)
 
 
-def _conv_forward(x, w_mat, kh, kw, stride, padding, out_h, out_w):
-    # x (..., B, C, H, W) cross-correlated with w_mat (..., F, C*kH*kW): one
-    # GEMM per image, and per replica, written straight into the NCHW
-    # output (..., B, F, outH, outW).
+def _conv_forward(x, w_mat, kh, kw, stride, out_h, out_w, offsets, spacing=1):
+    # x (..., B, C, H, W), framed as ``_unfolded`` frames it, cross-correlated
+    # with w_mat (..., F, C*kH*kW): one GEMM per image, and per replica,
+    # written straight into the NCHW output (..., B, F, outH, outW).
     lead = np.broadcast_shapes(x.shape[:-4], w_mat.shape[:-2])
     b, f = x.shape[-4], w_mat.shape[-2]
     out = np.empty((*lead, b, f, out_h * out_w), np.result_type(x, w_mat))
     w_mat = w_mat[..., None, :, :]
-    for lo, hi, col in _unfolded(x, kh, kw, stride, padding, out_h, out_w):
+    for lo, hi, col in _unfolded(x, kh, kw, stride, out_h, out_w, offsets, spacing):
         np.matmul(w_mat, col, out=out[..., lo:hi, :, :])
     return out.reshape(*lead, b, f, out_h, out_w)
 
 
 def _conv_input_grad(g, weight, x_shape, stride, padding):
-    # d(loss)/d(input) of a 4-D conv, given the output gradient g.
-    b, c, h, w = x_shape
-    f, _, kh, kw = weight.shape
-    out_h, out_w = g.shape[-2:]
-    if stride == 1 and kh == kw and padding < kh:
-        # the adjoint of a stride-1 conv: g convolved with the flipped
-        # kernels, in and out channels swapped, at padding kH - 1 - padding
-        w_flip = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-        return _conv_forward(g, w_flip, kh, kw, 1, kh - 1 - padding, h, w)
-    # otherwise each chunk's unfolded gradient is added back tap by tap
-    dtype = np.result_type(g, weight)
-    n = _chunk_images(b, c * kh * kw * out_h * out_w * dtype.itemsize)
-    col = np.empty((n, c, kh, kw, out_h, out_w), dtype)
-    dxp = np.empty((n, c, h + 2 * padding, w + 2 * padding), dtype)
-    dx = np.empty(x_shape, dtype)
-    w_t = weight.reshape(f, -1).T
-    g = g.reshape(b, f, out_h * out_w)
-    rows, cols = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
-    for lo in range(0, b, n):
-        m = min(n, b - lo)
-        np.matmul(w_t, g[lo:lo + m], out=col[:m].reshape(m, -1, out_h * out_w))
-        d = dxp[:m]
-        d.fill(0)
-        for i in range(kh):
-            for j in range(kw):
-                d[:, :, i:i + rows:stride, j:j + cols:stride] += col[:m, :, i, j]
-        dx[lo:lo + m] = d[:, :, padding:padding + h, padding:padding + w]
-    return dx
+    # d(loss)/d(input) of a 4-D conv, given the output gradient g: the
+    # adjoint conv (Dumoulin & Visin 2016), g with its samples ``stride``
+    # cells apart from k - 1 - padding on, convolved at stride 1 with the
+    # flipped kernels, in and out channels swapped.
+    c, h, w = x_shape[-3:]
+    kh, kw = weight.shape[-2:]
+    w_flip = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+    return _conv_forward(g, w_flip, kh, kw, 1, h, w, (kh - 1 - padding, kw - 1 - padding),
+                         stride)
 
 
 def conv2d(x, weight, stride=1, padding=0):
@@ -386,13 +349,14 @@ def conv2d(x, weight, stride=1, padding=0):
         # kernel, whose bits are those of one whole-batch GEMM. (Replicas keep
         # the small-matrix kernel: their tiny GEMMs run faster there.)
         w_mat = np.ascontiguousarray(w_mat.T).T
-    out = _conv_forward(x.data, w_mat, kh, kw, stride, padding, out_h, out_w)
+    out = _conv_forward(x.data, w_mat, kh, kw, stride, out_h, out_w, (padding, padding))
 
     def backward(g):
         if weight.requires_grad:
             g_mat = g.reshape(g.shape[0], g.shape[1], -1)
             dw = sum(np.matmul(g_mat[lo:hi], col.swapaxes(-1, -2)).sum(axis=0)
-                     for lo, hi, col in _unfolded(x.data, kh, kw, stride, padding, out_h, out_w))
+                     for lo, hi, col in _unfolded(x.data, kh, kw, stride, out_h, out_w,
+                                                  (padding, padding)))
             _accumulate(weight, dw.reshape(weight.data.shape))
         if x.requires_grad:
             _accumulate(x, _conv_input_grad(g, weight.data, x.data.shape, stride, padding))
@@ -409,7 +373,8 @@ def max_pool2d(x, kernel, stride, padding=0):
     out_w = (w + 2 * padding - kernel) // stride + 1
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"pool kernel {kernel} too large for input {h}x{w} with padding {padding}")
-    xp = _pad_hw(x.data, padding, -np.inf)
+    xp = np.pad(x.data, [(0, 0)] * (x.data.ndim - 2) + [(padding, padding)] * 2,
+                constant_values=-np.inf)
     *lead, sh, sw = xp.strides
     windows = np.lib.stride_tricks.as_strided(
         xp, xp.shape[:-2] + (out_h, out_w, kernel, kernel),
@@ -469,12 +434,10 @@ def concat_linear(features, weight, bias):
     out = _canonical_reduce(partials, "sum") + _rows(bias.data)
 
     def backward(g):
-        for f, blk, lo, hi in zip(features, blocks, offsets, offsets[1:]):
+        for f, blk in zip(features, blocks):
             _accumulate(f, g @ blk)
-            if weight.requires_grad:
-                if weight.grad is None:
-                    weight.grad = np.zeros_like(weight.data)
-                weight.grad[:, lo:hi] += g.T @ f.data
+        if weight.requires_grad:
+            _accumulate(weight, np.concatenate([g.T @ f.data for f in features], axis=1))
         _accumulate(bias, g.sum(axis=0))
 
     leading = (any(f.data.ndim == 3 for f in features) or weight.data.ndim == 3

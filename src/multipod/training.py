@@ -235,10 +235,25 @@ class Checkpoint:
                           store.buffer_state(), int(epoch), int(seed), float(best_top1))
 
     def apply(self, model):
+        """Load this state into ``model``; raises ``CheckpointError``, leaving
+        the model as it was, unless every parameter, momentum buffer and BN
+        buffer matches the model's by name and shape."""
         if self.spec != model.spec.to_dict():
             raise CheckpointError(
                 f"checkpoint spec mismatch: saved {self.spec}, model {model.spec.to_dict()}")
         store = model.store
+        params = {n: t.data.shape for n, t in store.items()}
+        channels = {n: b.mean.shape for n, b in store.buffers()}
+        for kind, saved, shapes in (
+                ("parameter", self.params, params), ("momentum", self.momentum, params),
+                ("BN mean", {n: b[0] for n, b in self.buffers.items()}, channels),
+                ("BN variance", {n: b[1] for n, b in self.buffers.items()}, channels)):
+            got = {n: np.shape(a) for n, a in saved.items()}
+            for name in sorted(got.keys() | shapes.keys()):
+                if got.get(name) != shapes.get(name):
+                    raise CheckpointError(
+                        f"checkpoint {kind} {name!r}: saved {got.get(name, 'nothing')}, "
+                        f"model expects {shapes.get(name, 'nothing')}")
         store.load_param_values(self.params)
         store.load_buffer_state(self.buffers)
         store.momentum = {name: np.asarray(v, dtype=store.dtype).copy()

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from multipod.cli import main, read_ppm, write_ppm
+from multipod.config import parse_config
 from multipod.data import DataError
 from multipod.models import MultiPodSpec, count_params, resnet_cifar
 
@@ -101,6 +103,10 @@ class TestGradcheck:
     def test_bad_stride_rejected(self, capsys):
         assert main(["gradcheck", "--sample-stride", "0"]) == 2
 
+    def test_nonpositive_step_rejected(self, capsys):
+        assert main(["gradcheck", "--h", "0", "--pods", "2", "--sample-stride", "997"]) == 2
+        assert "h must be > 0" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_end_to_end_artifacts(self, tmp_path, capsys):
@@ -117,6 +123,7 @@ class TestTrain:
         saved = json.loads((out_dir / "config.json").read_text())
         assert saved["schedule"]["epochs"] == 2
         assert saved["output_dir"] == str(out_dir)
+        assert parse_config(saved) == parse_config(toy_config_doc(out_dir=str(out_dir)))
 
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["epochs_run"] == 2
@@ -170,6 +177,31 @@ class TestTrain:
         cfg = write_config(tmp_path, **{"augmentation.routing": "alternating"})
         assert main(["train", "--config", cfg]) == 2
         assert "routing" in capsys.readouterr().err
+
+    def test_unknown_keys_reported_by_path(self, tmp_path, capsys):
+        doc = toy_config_doc(**{"schedule.epoch": 5, "augmentation.hflip": 0.5,
+                                "augmentation.normalize.meen": [0.5, 0.5, 0.5]})
+        doc["modle"] = doc.pop("model")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        for path in ("schedule.epoch", "augmentation.hflip", "augmentation.normalize.meen",
+                     "modle"):
+            assert f"{path}: unknown key" in err
+        assert "model: required object" in err
+
+    @pytest.mark.parametrize("name", ["cifar10-tripod.json", "cifar10-tripod-jitter.json",
+                                      "toy-synthetic.json"])
+    def test_written_config_parses_back_equal(self, name):
+        path = pathlib.Path(__file__).parents[1] / "configs" / name
+        cfg = parse_config(path.read_text())
+        assert parse_config(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_invalid_data_field_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"data.classes": 1})
+        assert main(["train", "--config", cfg]) == 2
+        assert "data.classes: must be an int >= 2" in capsys.readouterr().err
 
     def test_inconsistent_classes_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"model.classes": 7})

@@ -66,3 +66,16 @@ def test_planted_gradient_fault_is_reported(monkeypatch):
     report = gradient_check(model, inputs, labels, sample_stride=97)
     assert report.failures == ["pod1.stage2.block0.conv2.weight"]
     assert report.worst_param == "pod1.stage2.block0.conv2.weight"
+
+
+def test_non_finite_gradient_fails_and_nonpositive_step_is_rejected():
+    model, inputs, labels = small_model()
+    for h in (0.0, -1e-5):
+        with pytest.raises(ValueError, match="h must be > 0"):
+            gradient_check(model, inputs, labels, h=h, sample_stride=997)
+    # a NaN parameter makes the loss, every quotient and every gradient NaN
+    model.store.param("head.dense.bias").data[0] = np.nan
+    report = gradient_check(model, inputs, labels, sample_stride=997)
+    assert not report.passed
+    assert report.failures == [name for name, _ in model.store.items()]
+    assert report.worst_rel == np.inf

@@ -220,8 +220,10 @@ class TestConv2d:
 
 
 def col_bytes(c, k, out, replicas=1):
-    # bytes of one image's unfolded float64 input, as conv2d sizes its chunks
-    return replicas * c * k * k * out * out * 8
+    # bytes of one image's unfolded float64 input, as conv2d sizes its chunks;
+    # k and out are each one side or a (rows, cols) pair
+    (kh, kw), (oh, ow) = np.broadcast_to(k, 2), np.broadcast_to(out, 2)
+    return int(replicas * c * kh * kw * oh * ow * 8)
 
 
 class TestConvChunks:
@@ -248,16 +250,21 @@ class TestConvChunks:
                                    rtol=1e-10, atol=1e-12)
         assert np.array_equal(split, whole) and np.array_equal(split, single)
 
-    # (2, 1, 0) and (1, 1, 1) add an even kernel and a stride-1 conv padded
-    # wider than its kernel, whose input gradient is not a conv
-    @pytest.mark.parametrize("k,s,p", CHUNK_CASES + [(2, 1, 0), (1, 1, 1)])
+    # (2, 1, 0) adds an even kernel, (1, 1, 1) and (3, 2, 3) a stride-1 and a
+    # stride-2 conv padded at least as wide as their kernels, and
+    # ((3, 2), 2, 1) a non-square kernel at stride 2
+    @pytest.mark.parametrize("k,s,p", CHUNK_CASES + [(2, 1, 0), (1, 1, 1), ((3, 2), 2, 1),
+                                                     (3, 2, 3)])
     def test_gradients_match_fd(self, rng, monkeypatch, k, s, p):
-        # in and out channels equal, so the stride-1 input gradient (a conv
-        # of the output gradient) splits 2 + 2 + 1 as well
-        monkeypatch.setattr(T, "_CONV_CHUNK_BYTES", 2 * col_bytes(self.C, k, self.out(k, s, p)))
+        kh, kw = np.broadcast_to(k, 2)
+        oh, ow = self.out(kh, s, p), self.out(kw, s, p)
+        # forward and dW split 2 + 2 + 1; in and out channels are equal, so
+        # the input gradient, a stride-1 conv of the output gradient onto
+        # H x H, splits into chunks of max(1, 2 * out**2 // H**2) images
+        monkeypatch.setattr(T, "_CONV_CHUNK_BYTES", 2 * col_bytes(self.C, k, (oh, ow)))
         x = t64(rng.normal(size=(self.B, self.C, self.H, self.H)), requires_grad=True)
-        w = t64(rng.normal(size=(self.C, self.C, k, k)), requires_grad=True)
-        cot = t64(rng.normal(size=(self.B, self.C, self.out(k, s, p), self.out(k, s, p))))
+        w = t64(rng.normal(size=(self.C, self.C, kh, kw)), requires_grad=True)
+        cot = t64(rng.normal(size=(self.B, self.C, oh, ow)))
         loss = lambda: tensor_sum(T.mul(T.conv2d(x, w, stride=s, padding=p), cot))
         loss().backward()
         value = lambda: float(loss().data)

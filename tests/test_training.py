@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -301,6 +302,33 @@ class TestCheckpointRoundTrip:
         ckpt = Checkpoint.from_model(model, 0, 0, 0.0)
         with pytest.raises(CheckpointError, match="spec mismatch"):
             ckpt.apply(other)
+
+    def test_missing_or_misshaped_state_rejected(self):
+        model = build_multipod(tiny_spec())
+        base = Checkpoint.from_model(model, 0, 0, 0.0)
+        param, _ = next(iter(model.store.items()))
+        bn, (mean, var, _) = next(iter(base.buffers.items()))
+        cases = [
+            (dataclasses.replace(base, momentum={**base.momentum, param: np.zeros(1)}),
+             f"momentum {param!r}: saved \\(1,\\), model expects"),
+            (dataclasses.replace(base, buffers={**base.buffers, bn: (np.zeros(1), var, True)}),
+             f"BN mean {bn!r}: saved \\(1,\\)"),
+            (dataclasses.replace(base, buffers={n: b for n, b in base.buffers.items() if n != bn}),
+             f"BN mean {bn!r}: saved nothing"),
+            (dataclasses.replace(base, params={**base.params, "stray": np.zeros(1)}),
+             "parameter 'stray': saved \\(1,\\), model expects nothing"),
+        ]
+        twin = build_multipod(tiny_spec())
+        params, buffers = twin.store.param_values(), twin.store.buffer_state()
+        for ckpt, message in cases:
+            with pytest.raises(CheckpointError, match=message):
+                ckpt.apply(twin)
+        # a rejected checkpoint leaves the model as it was
+        assert twin.store.momentum == {}
+        for name, arr in twin.store.param_values().items():
+            assert np.array_equal(arr, params[name]), name
+        for name, (m, v, init) in twin.store.buffer_state().items():
+            assert np.array_equal(m, buffers[name][0]) and np.array_equal(v, buffers[name][1])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
