@@ -16,8 +16,8 @@ import numpy as np
 
 from . import tensor as T
 from .config import ConfigError, load_config, load_data, parse_config
-from .data import (AugmentationSpec, DataError, JitterSpec, make_pod_inputs,
-                   synthetic_dataset)
+from .data import (AugmentationSpec, DataError, JitterSpec, make_pod_inputs, read_ppm,
+                   synthetic_dataset, write_ppm)
 from .gradcheck import gradient_check
 from .models import (APPROACH1, APPROACH2, CIFAR_FAMILY, MultiPodSpec, build_multipod,
                      count_params, resnet_cifar, resnet_imagenet)
@@ -56,53 +56,6 @@ def _spec_from_args(args, base):
                         combine_mode=args.combine, classes=classes)
     spec.validate()
     return spec
-
-
-def read_ppm(path):
-    """Binary PPM (P6, maxval 255) to a 3 x H x W float array in [0,1]."""
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except OSError as e:
-        raise DataError(f"cannot read image {path}: {e}") from e
-    fields = []
-    pos = 0
-    while len(fields) < 4 and pos < len(raw):
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(raw) and raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    pos += 1  # the single whitespace byte after maxval
-    if len(fields) < 4 or fields[0] != b"P6":
-        raise DataError(f"{path}: not a binary PPM (P6) image")
-    try:
-        w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    except ValueError as e:
-        raise DataError(f"{path}: malformed PPM header") from e
-    if maxval != 255:
-        raise DataError(f"{path}: unsupported maxval {maxval} (need 255)")
-    need = w * h * 3
-    data = raw[pos:pos + need]
-    if len(data) < need:
-        raise DataError(f"{path}: truncated pixel data ({len(data)} of {need} bytes)")
-    arr = np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3)
-    return arr.transpose(2, 0, 1).astype(np.float32) / 255.0
-
-
-def write_ppm(path, img):
-    """3 x H x W float array in [0,1] to a binary PPM file."""
-    img = np.asarray(img)
-    _, h, w = img.shape
-    pixels = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode())
-        f.write(pixels.transpose(1, 2, 0).tobytes())
 
 
 def _with_overrides(cfg, args):

@@ -145,7 +145,7 @@ def gradient_check(model, inputs, labels, h=1e-5, tol=1e-5, atol=1e-8, progress=
         store.zero_grads()
         loss = T.softmax_cross_entropy(model.forward(inputs, training=True), labels)
         loss.backward()
-        analytic = {name: t.grad.copy() for name, t in store.items()}
+        analytic = {name: t.grad for name, t in store.items()}
         store.zero_grads()
 
         for name, positions, fd in finite_differences(model, inputs, labels, h, sample_stride):

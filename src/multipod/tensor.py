@@ -2,10 +2,15 @@
 
 Every operation records its inputs and a backward closure on the output
 tensor; ``Tensor.backward()`` walks the graph once in reverse topological
-order. Gradients accumulate into ``.grad`` buffers: calling backward twice
+order. Only leaves keep ``.grad``: a non-leaf node's buffer is freed as
+soon as its backward closure has run, so a second backward through the same
+graph starts clean. Leaf gradients accumulate: calling backward twice
 without clearing adds the two gradients (the optimizer is responsible for
-clearing at step boundaries). There is no global tape, and ``no_grad``
-holds per thread, so independent graphs can be evaluated concurrently.
+clearing at step boundaries). Batch norm and relu keep no activation that
+their backward can derive from arrays the graph already holds, and no
+closure holds its own output tensor, so reference counting frees a graph as
+soon as its root is dropped. There is no global tape, and ``no_grad`` holds
+per thread, so independent graphs can be evaluated concurrently.
 
 Leading axis: an operand may carry one extra leading axis of R independent
 copies of the same computation (the finite-difference checker stacks R
@@ -50,7 +55,7 @@ class Tensor:
 
     ``data`` is a numpy array (float32 for training, float64 for gradient
     checking). ``grad`` is lazily allocated with the same shape on first
-    backward accumulation.
+    backward accumulation; after ``backward`` only leaves still hold one.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
@@ -89,8 +94,10 @@ class Tensor:
     def backward(self):
         """Populate ``.grad`` of every reachable tensor with d(self)/d(tensor).
 
-        ``self`` must hold a single scalar. Gradients accumulate into any
-        existing ``.grad`` buffers rather than overwriting them.
+        ``self`` must hold a single scalar. Leaf gradients accumulate into
+        any existing ``.grad`` buffers rather than overwriting them. A
+        non-leaf node's ``.grad`` is freed (set to None) once its closure
+        has passed it on, so only leaves hold a gradient afterwards.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.data.shape}")
@@ -99,6 +106,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # Arithmetic sugar used by models and tests.
     def __add__(self, other):
@@ -130,8 +138,11 @@ def _accumulate(t, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a private copy: g may be a view of another node's buffer
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g
 
 
 # Per thread (and per asyncio task): no_grad in one leaves graphs recorded
@@ -221,10 +232,12 @@ def mul(a, b):
 
 
 def relu(x):
-    mask = x.data > 0
+    out = np.where(x.data > 0, x.data, 0)
     def backward(g):
-        _accumulate(x, g * mask)
-    return _result(np.where(mask, x.data, 0), (x,), backward, "relu")
+        # out > 0 exactly where x > 0; the closure holds the output array,
+        # not its tensor, so the node makes no reference cycle
+        _accumulate(x, g * (out > 0))
+    return _result(out, (x,), backward, "relu")
 
 
 def linear(x, weight, bias):
@@ -539,10 +552,12 @@ def batch_norm2d(x, gamma, beta, buffers, training, momentum=0.1, eps=1e-5):
         mean, var = _channels(buffers.mean), _channels(buffers.var)
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv_std
-    out = _channels(gamma.data) * xhat + _channels(beta.data)
+    out = _channels(gamma.data) * ((x.data - mean) * inv_std) + _channels(beta.data)
 
     def backward(g):
+        # recomputed with the forward's expression, so with its bits,
+        # rather than held for the graph's lifetime
+        xhat = (x.data - mean) * inv_std
         _accumulate(gamma, (g * xhat).sum(axis=(0, 2, 3)))
         _accumulate(beta, g.sum(axis=(0, 2, 3)))
         if not x.requires_grad:

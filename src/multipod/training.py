@@ -410,6 +410,8 @@ def train(model, train_batch, eval_batch, schedule, aug, out_dir=None,
                 sgd_step(store, lr, schedule.momentum, schedule.weight_decay)
                 loss_sum += lval * len(idx)
                 hits += int(_topk_hits(logits.data, labels, 1).sum())
+                # drop this step's graph before the next forward records one
+                del logits, loss
             ev = evaluate_center_crop(model, eval_batch, aug)
             record = TrainLogRecord(epoch=epoch, lr=lr, train_loss=loss_sum / n,
                                     train_acc=hits / n, eval_loss=ev.loss,

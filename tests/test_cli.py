@@ -6,9 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from multipod.cli import main, read_ppm, write_ppm
+from multipod.cli import main
 from multipod.config import parse_config
-from multipod.data import DataError
+from multipod.data import DataError, read_ppm, write_ppm
 from multipod.models import MultiPodSpec, count_params, resnet_cifar
 
 

@@ -1,10 +1,13 @@
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import multipod.tensor as T
+from multipod.models import APPROACH1, MultiPodSpec, build_multipod, resnet_cifar
 from oracles import (batch_norm_train_oracle, concat, conv2d_oracle, fd_gradient,
                      max_pool_oracle, softmax_oracle, softmax_xent_oracle, tensor_sum)
 
@@ -54,6 +57,14 @@ class TestTensorBasics:
         tensor_sum(x).backward()
         tensor_sum(x).backward()
         assert np.array_equal(x.grad, [2.0, 2.0])
+
+    def test_second_backward_through_same_graph_accumulates_once(self):
+        # the first backward leaves no non-leaf buffer for the second to re-add
+        x = t64([1.0, 2.0], requires_grad=True)
+        s = tensor_sum(x + x)
+        s.backward()
+        s.backward()
+        assert np.array_equal(x.grad, [4.0, 4.0])
 
     def test_shared_subexpression_grad_counted_once_per_use(self):
         x = t64([3.0], requires_grad=True)
@@ -514,6 +525,47 @@ class TestSoftmaxCrossEntropy:
         fd = fd_gradient(lambda: float(T.softmax_cross_entropy(logits, labels).data),
                          logits.data)
         assert_grad_close(fd, logits.grad)
+
+
+class TestLeanBackward:
+    """Backward keeps only what it reads: after it, only leaves hold a
+    gradient, and dropping the root frees the whole graph without the cycle
+    collector."""
+
+    @staticmethod
+    def training_loss(seed=3):
+        spec = MultiPodSpec(pods=2, base=resnet_cifar(1), fusion=APPROACH1, classes=10)
+        model = build_multipod(spec, dtype=np.float64)
+        rng = np.random.default_rng(seed)
+        inputs = [t64(rng.normal(size=(2, 3, 8, 8))) for _ in range(2)]
+        logits = model.forward(inputs, training=True)
+        return model, logits, T.softmax_cross_entropy(logits, rng.integers(0, 10, size=2))
+
+    def test_only_leaves_keep_gradients(self):
+        model, _, loss = self.training_loss()
+        loss.backward()
+        inner = [n for n in T._toposort(loss) if n._backward is not None]
+        assert {"conv2d", "batch_norm2d", "relu", "add", "concat_linear"} <= {n._op for n in inner}
+        assert all(n.grad is None for n in inner)
+        for name, p in model.store.items():
+            assert p.grad is not None and p.grad.shape == p.shape, name
+
+    @pytest.mark.parametrize("backward", [True, False])
+    def test_dropping_the_root_frees_activations(self, backward):
+        gc.disable()
+        try:
+            _, logits, loss = self.training_loss()
+            if backward:
+                loss.backward()
+            nodes = T._toposort(loss)
+            refs = {op: weakref.ref(next(n for n in nodes if n._op == op).data)
+                    for op in ("batch_norm2d", "relu")}
+            del nodes
+            assert all(r() is not None for r in refs.values())
+            del logits, loss
+            assert {op: r() is None for op, r in refs.items()} == dict.fromkeys(refs, True)
+        finally:
+            gc.enable()
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 6), st.integers(2, 6))

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import io
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -379,6 +381,37 @@ class TestTrainLoop:
             result = train(model, train_batch, eval_batch, sched, aug)
             records.append([r.comparable() for r in result.records])
         assert records[0] == records[1]
+
+    def test_each_step_graph_is_dropped_before_the_next_forward(self, monkeypatch):
+        # without the cycle collector, a step's loss dies only once nothing
+        # refers to its graph
+        model, train_batch, eval_batch, aug = tiny_setup(samples=16)
+        losses, alive_at_forward = [], []
+        xent = T.softmax_cross_entropy
+
+        def recording(logits, labels):
+            loss = xent(logits, labels)
+            if loss.requires_grad:
+                losses.append(weakref.ref(loss.data))
+            return loss
+
+        forward = model.forward
+
+        def checking(inputs, training=False):
+            alive_at_forward.append(sum(r() is not None for r in losses))
+            return forward(inputs, training)
+
+        monkeypatch.setattr(T, "softmax_cross_entropy", recording)
+        model.forward = checking
+        sched = TrainingSchedule(base_lr=0.05, milestones=(), epochs=1, batch_size=8)
+        gc.disable()
+        try:
+            train(model, train_batch, eval_batch, sched, aug)
+        finally:
+            gc.enable()
+        assert len(losses) == 2
+        # no step's loss is alive at the two steps' forwards or the evaluation's
+        assert alive_at_forward == [0, 0, 0]
 
     def test_lr_trace_follows_schedule(self):
         model, train_batch, eval_batch, aug = tiny_setup()
