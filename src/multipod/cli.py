@@ -33,6 +33,25 @@ OUTPUT_DIR_ENV = "MULTIPOD_OUTPUT_DIR"
 
 _FUSION_NAMES = {"approach1": APPROACH1, "approach2": APPROACH2}
 
+# Environment variables that set the BLAS thread count, most specific first.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _machine():
+    """The machine a run's wall times were taken on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "numpy": np.__version__,
+        "blas": blas.get("name", "unknown"),
+        "blas_version": blas.get("version", "unknown"),
+        "blas_threads": next((os.environ[v] for v in _BLAS_THREAD_VARS if v in os.environ),
+                             "default"),
+    }
+
 
 def _base_arg(name):
     if name == "resnet18":
@@ -112,6 +131,7 @@ def cmd_train(args):
         "param_count": count_params(cfg.model),
         "epochs_run": len(result.records),
         "wall_time": result.wall_time,
+        "machine": _machine(),
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as f:
         json.dump(summary, f, indent=2)

@@ -12,6 +12,15 @@ closure holds its own output tensor, so reference counting frees a graph as
 soon as its root is dropped. There is no global tape, and ``no_grad`` holds
 per thread, so independent graphs can be evaluated concurrently.
 
+Gradient ownership: the ``g`` a backward closure receives is its node's own
+buffer, which nothing else holds and which is freed once the closure
+returns, so a closure may write into it. ``_accumulate(t, g, owned=True)``
+adopts ``g`` as ``t.grad`` instead of copying it; a closure passes
+``owned=True`` only for an array it owns, its own ``g`` or one it has just
+computed, and hands each such array to at most one tensor. So every
+``.grad`` stays private and writable, and the elementwise ops (relu, batch
+norm, the residual add) run without a full-size copy per pass.
+
 Leading axis: an operand may carry one extra leading axis of R independent
 copies of the same computation (the finite-difference checker stacks R
 perturbed copies of one parameter this way). Images are then R x B x C x H
@@ -102,7 +111,7 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.data.shape}")
         order = _toposort(self)
-        _accumulate(self, np.ones_like(self.data))
+        _accumulate(self, np.ones_like(self.data), owned=True)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -134,15 +143,19 @@ def _toposort(root):
     return order
 
 
-def _accumulate(t, g):
+def _accumulate(t, g, owned=False):
+    # ``owned``: g is the calling closure's own array, which nothing else
+    # holds or will write, so it is adopted rather than copied
     if not t.requires_grad:
         return
-    if t.grad is None:
+    if t.grad is not None:
+        t.grad += g
+    elif owned and g.dtype == t.data.dtype:
+        t.grad = g
+    else:
         # a private copy: g may be a view of another node's buffer
         t.grad = np.empty_like(t.data)
         t.grad[...] = g
-    else:
-        t.grad += g
 
 
 # Per thread (and per asyncio task): no_grad in one leaves graphs recorded
@@ -208,8 +221,11 @@ def add(a, b):
     a = a if isinstance(a, Tensor) else _wrap(a, b)
     b = _wrap(b, a)
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        ga, gb = _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        # g, or a sum of it, is handed over; when both operands would get g
+        # itself, b takes a copy
+        _accumulate(a, ga, owned=True)
+        _accumulate(b, gb, owned=gb is not ga)
     return _result(a.data + b.data, (a, b), backward, "add")
 
 
@@ -232,11 +248,15 @@ def mul(a, b):
 
 
 def relu(x):
-    out = np.where(x.data > 0, x.data, 0)
+    # fmax has the bits of np.where(x > 0, x, 0), NaN -> 0 and -0 -> +0
+    # included, in one pass with no mask
+    out = np.fmax(x.data, 0)
     def backward(g):
         # out > 0 exactly where x > 0; the closure holds the output array,
-        # not its tensor, so the node makes no reference cycle
-        _accumulate(x, g * (out > 0))
+        # not its tensor, so the node makes no reference cycle. g is masked
+        # in place and handed over.
+        g *= out > 0
+        _accumulate(x, g, owned=True)
     return _result(out, (x,), backward, "relu")
 
 
@@ -370,9 +390,10 @@ def conv2d(x, weight, stride=1, padding=0):
             dw = sum(np.matmul(g_mat[lo:hi], col.swapaxes(-1, -2)).sum(axis=0)
                      for lo, hi, col in _unfolded(x.data, kh, kw, stride, out_h, out_w,
                                                   (padding, padding)))
-            _accumulate(weight, dw.reshape(weight.data.shape))
+            _accumulate(weight, dw.reshape(weight.data.shape), owned=True)
         if x.requires_grad:
-            _accumulate(x, _conv_input_grad(g, weight.data, x.data.shape, stride, padding))
+            _accumulate(x, _conv_input_grad(g, weight.data, x.data.shape, stride, padding),
+                        owned=True)
 
     return _result(out, (x, weight), backward, "conv2d", leading)
 
@@ -536,12 +557,16 @@ def batch_norm2d(x, gamma, beta, buffers, training, momentum=0.1, eps=1e-5):
         raise ShapeError(f"gamma/beta must have shape ({c},)")
     leading = x.data.ndim == 5 or gamma.data.ndim == 2 or beta.data.ndim == 2
     n = b * h * w
+    axes = (-4, -2, -1)
 
     if training:
         if n < 2:
             raise ValueError(f"training-mode batch norm needs B*H*W >= 2, got {n}")
-        mean = x.data.mean(axis=(-4, -2, -1), keepdims=True)
-        var = x.data.var(axis=(-4, -2, -1), keepdims=True)
+        mean = x.data.mean(axis=axes, keepdims=True)
+        out = x.data - mean
+        # ndarray.var's own steps on the centred x, so its bits
+        var = np.square(out).sum(axis=axes, keepdims=True)
+        np.true_divide(var, np.intp(n), out=var, casting="unsafe")
         if not leading:
             buffers.mean = (1.0 - momentum) * buffers.mean + momentum * mean.reshape(c)
             buffers.var = (1.0 - momentum) * buffers.var + momentum * (var.reshape(c) * n / (n - 1))
@@ -550,27 +575,41 @@ def batch_norm2d(x, gamma, beta, buffers, training, momentum=0.1, eps=1e-5):
         if not buffers.initialized:
             raise StateError("eval-mode batch norm before any training update of running stats")
         mean, var = _channels(buffers.mean), _channels(buffers.var)
+        out = x.data - mean
 
+    # gamma * ((x - mean) * inv_std) + beta in the centred buffer, or in a
+    # new one where a replicated gamma or beta widens it
     inv_std = 1.0 / np.sqrt(var + eps)
-    out = _channels(gamma.data) * ((x.data - mean) * inv_std) + _channels(beta.data)
+    out *= inv_std
+    gamma_c, beta_c = _channels(gamma.data), _channels(beta.data)
+    shape = np.broadcast_shapes(out.shape, gamma_c.shape, beta_c.shape)
+    out = np.multiply(gamma_c, out, out=out if shape == out.shape else np.empty(shape, out.dtype))
+    out += beta_c
 
     def backward(g):
-        # recomputed with the forward's expression, so with its bits,
-        # rather than held for the graph's lifetime
-        xhat = (x.data - mean) * inv_std
-        _accumulate(gamma, (g * xhat).sum(axis=(0, 2, 3)))
-        _accumulate(beta, g.sum(axis=(0, 2, 3)))
+        # dx = (inv_std / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
+        # in this operation order, written into g and two scratch buffers;
+        # xhat is recomputed rather than held for the graph's lifetime
+        xhat = x.data - mean
+        xhat *= inv_std
+        prod = g * xhat
+        _accumulate(gamma, prod.sum(axis=axes))
+        _accumulate(beta, g.sum(axis=axes))
         if not x.requires_grad:
             return
-        dxhat = g * _channels(gamma.data)
+        g *= _channels(gamma.data)  # dxhat
         if training:
             # Full derivative through the batch statistics.
-            s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-            s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-            dx = (inv_std / n) * (n * dxhat - s1 - xhat * s2)
+            s1 = g.sum(axis=axes, keepdims=True)
+            s2 = np.multiply(g, xhat, out=prod).sum(axis=axes, keepdims=True)
+            g *= n
+            g -= s1
+            xhat *= s2
+            g -= xhat
+            g *= inv_std / n
         else:
-            dx = dxhat * inv_std
-        _accumulate(x, dx)
+            g *= inv_std
+        _accumulate(x, g, owned=True)
 
     return _result(out, (x, gamma, beta), backward, "batch_norm2d", leading)
 

@@ -3,7 +3,10 @@ library. Everything here is deliberately naive (nested loops, direct
 formulas) and shares no code with the package under test, except
 ``fd_quotients_oracle``, which references the gradient checker, so it drives
 the model's own forward one perturbed scalar at a time, and ``tensor_sum``,
-a graph node built with the engine's own node constructor."""
+a graph node built with the engine's own node constructor. ``relu_where``
+and ``batch_norm2d_exprs`` are not naive: they are the engine's earlier
+whole-array expressions, one temporary per operation, kept as the bit
+reference for its in-place forms."""
 
 import numpy as np
 
@@ -56,6 +59,45 @@ def batch_norm_train_oracle(x, gamma, beta, eps=1e-5):
         var = ((vals - mean) ** 2).mean()
         out[:, c, :, :] = gamma[c] * (vals - mean) / np.sqrt(var + eps) + beta[c]
     return out
+
+
+def relu_where(x):
+    """relu as ``np.where(x > 0, x, 0)``: NaN and -0 give +0."""
+    return np.where(x > 0, x, 0)
+
+
+def batch_norm2d_exprs(x, gamma, beta, g=None, running=None, eps=1e-5):
+    """Batch norm as whole-array expressions. Training mode takes the batch
+    statistics of x, eval mode (``running`` = (mean, var), each (C,)) the
+    given ones. x, gamma and beta may carry a leading replica axis. Returns
+    the output, and with an output gradient g (plain 4-D operands only)
+    also (dx, dgamma, dbeta)."""
+    def channels(v):
+        return v[..., None, :, None, None]
+
+    axes = (-4, -2, -1)
+    b, _, h, w = x.shape[-4:]
+    n = b * h * w
+    if running is None:
+        mean = x.mean(axis=axes, keepdims=True)
+        var = x.var(axis=axes, keepdims=True)
+    else:
+        mean, var = channels(running[0]), channels(running[1])
+    inv_std = 1.0 / np.sqrt(var + eps)
+    out = channels(gamma) * ((x - mean) * inv_std) + channels(beta)
+    if g is None:
+        return out
+    xhat = (x - mean) * inv_std
+    dgamma = (g * xhat).sum(axis=(0, 2, 3))
+    dbeta = g.sum(axis=(0, 2, 3))
+    dxhat = g * channels(gamma)
+    if running is None:
+        s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+        s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+        dx = (inv_std / n) * (n * dxhat - s1 - xhat * s2)
+    else:
+        dx = dxhat * inv_std
+    return out, dx, dgamma, dbeta
 
 
 def softmax_oracle(logits):

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -130,6 +131,12 @@ class TestTrain:
         assert summary["param_count"] == count_params(
             MultiPodSpec(pods=2, base=resnet_cifar(1), classes=4, seeds=(0, 1)))
         assert summary["best_top1"] == max(r["eval_top1"] for r in rows)
+        machine = summary["machine"]
+        assert set(machine) == {"nproc", "numpy", "blas", "blas_version", "blas_threads"}
+        assert machine["nproc"] >= 1 and machine["numpy"] == np.__version__
+        # tests/conftest.py sets the BLAS thread count, if the caller did not
+        assert machine["blas_threads"] == os.environ["OPENBLAS_NUM_THREADS"]
+        assert not set(machine) & set(rows[0])
 
     def test_repeat_runs_log_identically(self, tmp_path, capsys):
         logs = []

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import threading
 import weakref
 
@@ -8,8 +9,9 @@ from hypothesis import given, strategies as st
 
 import multipod.tensor as T
 from multipod.models import APPROACH1, MultiPodSpec, build_multipod, resnet_cifar
-from oracles import (batch_norm_train_oracle, concat, conv2d_oracle, fd_gradient,
-                     max_pool_oracle, softmax_oracle, softmax_xent_oracle, tensor_sum)
+from oracles import (batch_norm2d_exprs, batch_norm_train_oracle, concat, conv2d_oracle,
+                     fd_gradient, max_pool_oracle, relu_where, softmax_oracle,
+                     softmax_xent_oracle, tensor_sum)
 
 
 def t64(arr, requires_grad=False):
@@ -134,6 +136,17 @@ class TestRelu:
         x = t64([[-1.0, 3.0]], requires_grad=True)
         tensor_sum(T.relu(x)).backward()
         assert np.array_equal(x.grad, [[0.0, 1.0]])
+
+    def test_special_values_keep_the_where_bits(self):
+        x = np.array([np.nan, -np.nan, -0.0, 0.0, -np.inf, np.inf, -1.0, 1e-45, 3.0],
+                     dtype=np.float32)
+        g = np.array([1.0, -2.0, -3.0, 4.0, 5.0, -6.0, -7.0, 8.0, -9.0], dtype=np.float32)
+        xt = T.Tensor(x, requires_grad=True)
+        out = T.relu(xt)
+        assert out.dtype == np.float32
+        assert out.data.tobytes() == relu_where(x).tobytes()
+        tensor_sum(T.mul(out, T.Tensor(g))).backward()
+        assert xt.grad.tobytes() == (g * (relu_where(x) > 0)).tobytes()
 
     @given(st.integers(0, 100))
     def test_idempotent(self, seed):
@@ -566,6 +579,101 @@ class TestLeanBackward:
             assert {op: r() is None for op, r in refs.items()} == dict.fromkeys(refs, True)
         finally:
             gc.enable()
+
+
+class TestBatchNormBits:
+    """The in-place batch norm gives, bit for bit, what its whole-array
+    expressions (``oracles.batch_norm2d_exprs``) give, on float32 resnet20
+    shapes."""
+
+    @staticmethod
+    def operands(rng, shape, leading=()):
+        c = shape[1]
+        x = (rng.standard_normal(leading + shape) * 2 + 0.5).astype(np.float32)
+        gamma = rng.uniform(0.5, 1.5, leading[:1] + (c,)).astype(np.float32)
+        beta = rng.standard_normal(leading[:1] + (c,)).astype(np.float32)
+        return x, gamma, beta
+
+    @staticmethod
+    def eval_buffers(rng, c):
+        buffers = T.BNBuffers(c)
+        buffers.mean = rng.standard_normal(c).astype(np.float32)
+        buffers.var = rng.uniform(0.5, 2.0, c).astype(np.float32)
+        buffers.initialized = True
+        return buffers
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", [(24, 16, 32, 32), (24, 32, 16, 16), (24, 64, 8, 8)])
+    def test_output_and_gradients(self, rng, shape, training):
+        x, gamma, beta = self.operands(rng, shape)
+        g = rng.standard_normal(shape).astype(np.float32)
+        buffers = T.BNBuffers(shape[1]) if training else self.eval_buffers(rng, shape[1])
+        running = None if training else (buffers.mean, buffers.var)
+        want = batch_norm2d_exprs(x, gamma, beta, g, running)
+
+        xt, gt, bt = (T.Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        out = T.batch_norm2d(xt, gt, bt, buffers, training)
+        tensor_sum(T.mul(out, T.Tensor(g))).backward()
+        for got, ref in zip((out.data, xt.grad, gt.grad, bt.grad), want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("replicated", ["x", "x+gamma", "gamma", "beta", "gamma+beta"])
+    def test_replica_forward(self, rng, replicated, training):
+        shape, r = (8, 16, 32, 32), 3
+        x, gamma, beta = self.operands(rng, shape)
+        xr, gr, br = self.operands(rng, shape, leading=(r,))
+        x = xr if "x" in replicated else x
+        gamma = gr if "gamma" in replicated else gamma
+        beta = br if "beta" in replicated else beta
+        buffers = T.BNBuffers(shape[1]) if training else self.eval_buffers(rng, shape[1])
+        running = None if training else (buffers.mean, buffers.var)
+        with T.no_grad():
+            out = T.batch_norm2d(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta), buffers,
+                                 training).data
+        want = batch_norm2d_exprs(x, gamma, beta, running=running)
+        assert out.shape == want.shape == (r,) + shape
+        assert out.tobytes() == want.tobytes()
+
+
+class TestGradientOwnership:
+    """Closures hand their own arrays over instead of copying them, and
+    after backward every gradient is still private and writable."""
+
+    @staticmethod
+    def assert_private(tensors):
+        grads = [t.grad for t in tensors]
+        assert all(g is not None and g.flags.writeable for g in grads)
+        for (i, a), (j, b) in itertools.combinations(enumerate(grads), 2):
+            assert not np.shares_memory(a, b), (i, j)
+        for g, t in itertools.product(grads, tensors):
+            assert not np.shares_memory(g, t.data)
+
+    def test_two_pod_resnet8(self, rng):
+        spec = MultiPodSpec(pods=2, base=resnet_cifar(1), fusion=APPROACH1, classes=10)
+        model = build_multipod(spec, dtype=np.float64)
+        inputs = [t64(rng.normal(size=(2, 3, 8, 8)), requires_grad=True) for _ in range(2)]
+        logits = model.forward(inputs, training=True)
+        T.softmax_cross_entropy(logits, rng.integers(0, 10, size=2)).backward()
+        self.assert_private([p for _, p in model.store.items()] + inputs)
+
+    def test_self_add_broadcast_add_and_two_consumers(self, rng):
+        x = t64(rng.normal(size=(3, 4)), requires_grad=True)
+        bias = t64(rng.normal(size=(1, 4)), requires_grad=True)
+        z = t64(rng.normal(size=(3, 4)), requires_grad=True)
+        h = T.relu(x + x) + bias
+        u = T.relu(z) + z
+        tensor_sum(h + u).backward()
+        assert np.array_equal(x.grad, 2.0 * (x.data > 0))
+        assert np.array_equal(bias.grad, [[3.0] * 4])
+        assert np.array_equal(z.grad, (z.data > 0) + 1.0)
+        self.assert_private([x, bias, z])
+        # a later backward accumulates into the adopted buffers and nowhere else
+        tensor_sum(T.relu(z) + bias).backward()
+        assert np.array_equal(z.grad, 2.0 * (z.data > 0) + 1.0)
+        assert np.array_equal(x.grad, 2.0 * (x.data > 0))
+        self.assert_private([x, bias, z])
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 6), st.integers(2, 6))
