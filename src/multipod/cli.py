@@ -16,11 +16,11 @@ import numpy as np
 
 from . import tensor as T
 from .config import ConfigError, load_config, load_data, parse_config
-from .data import (AugmentationSpec, DataError, JitterSpec, make_pod_inputs, read_ppm,
-                   synthetic_dataset, write_ppm)
+from .data import (ROUTINGS, AugmentationSpec, DataError, JitterSpec, make_pod_inputs,
+                   read_ppm, synthetic_dataset, write_ppm)
 from .gradcheck import gradient_check
-from .models import (APPROACH1, APPROACH2, CIFAR_FAMILY, MultiPodSpec, build_multipod,
-                     count_params, resnet_cifar, resnet_imagenet)
+from .models import (APPROACH1, APPROACH2, CIFAR_FAMILY, COMBINE_MODES, MultiPodSpec,
+                     build_multipod, count_params, resnet_cifar, resnet_imagenet)
 from .training import (CheckpointError, NumericalAbort, evaluate_center_crop,
                        evaluate_ten_crop, load_checkpoint, train)
 
@@ -71,10 +71,8 @@ def _spec_from_args(args, base):
     classes = args.classes
     if classes is None:
         classes = 10 if base.family == CIFAR_FAMILY else 1000
-    spec = MultiPodSpec(pods=args.pods, base=base, fusion=_FUSION_NAMES[args.fusion],
+    return MultiPodSpec(pods=args.pods, base=base, fusion=_FUSION_NAMES[args.fusion],
                         combine_mode=args.combine, classes=classes)
-    spec.validate()
-    return spec
 
 
 def _with_overrides(cfg, args):
@@ -235,7 +233,7 @@ def _add_spec_flags(p, default_pods=3):
     p.add_argument("--base", type=_base_arg, default=resnet_cifar(3),
                    help="resnet18 or a 6n+2 depth like resnet20")
     p.add_argument("--fusion", choices=sorted(_FUSION_NAMES), default="approach1")
-    p.add_argument("--combine", choices=("sum", "product"), default="sum")
+    p.add_argument("--combine", choices=COMBINE_MODES, default="sum")
     p.add_argument("--classes", type=int, default=None)
 
 
@@ -265,7 +263,7 @@ def build_parser():
     p.add_argument("--pods", type=int, default=3)
     p.add_argument("--n", type=int, default=1, help="blocks per stage")
     p.add_argument("--fusion", choices=sorted(_FUSION_NAMES), default="approach1")
-    p.add_argument("--combine", choices=("sum", "product"), default="sum")
+    p.add_argument("--combine", choices=COMBINE_MODES, default="sum")
     p.add_argument("--classes", type=int, default=10)
     p.add_argument("--size", type=int, default=8, help="input resolution (max 16)")
     p.add_argument("--batch", type=int, default=2)
@@ -292,8 +290,7 @@ def build_parser():
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--size", type=int, default=32, help="synthetic image size")
     p.add_argument("--pods", type=int, default=3)
-    p.add_argument("--routing", choices=("identical", "shared-jitter", "per-pod-jitter"),
-                   default="per-pod-jitter")
+    p.add_argument("--routing", choices=ROUTINGS, default="per-pod-jitter")
     p.add_argument("--pad", type=int, default=0)
     p.add_argument("--crop-size", type=int)
     p.add_argument("--hflip", type=float, default=0.0)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .data import AugmentationSpec, load_cifar10, synthetic_dataset
+from .data import CIFAR10_SIZE, AugmentationSpec, load_cifar10, synthetic_dataset
 from .models import MultiPodSpec
 from .training import TrainingSchedule
 
@@ -126,10 +126,11 @@ def parse_config(doc):
         if model.classes != data["classes"]:
             errors.append(f"model.classes: {model.classes} does not match "
                           f"data.classes {data['classes']}")
-    if augmentation is not None and data is not None and data["kind"] == "synthetic":
-        if augmentation.crop_size > data["size"] + 2 * augmentation.pad:
-            errors.append(f"augmentation.crop_size: {augmentation.crop_size} exceeds padded "
-                          f"synthetic image size {data['size'] + 2 * augmentation.pad}")
+    if augmentation is not None and data is not None:
+        try:
+            augmentation.check_crop(data.get("size", CIFAR10_SIZE))
+        except ValueError as e:
+            errors.append(f"augmentation.{e}")  # e names its field, crop_size
 
     # each key must be one RunConfig.to_dict writes; a section that did not
     # parse has its own error and is not searched

@@ -19,7 +19,8 @@ IMAGENET_STD = (0.229, 0.224, 0.225)
 
 ROUTINGS = ("identical", "shared-jitter", "per-pod-jitter")
 
-_RECORD_BYTES = 3073
+CIFAR10_SIZE = 32  # pixels per side of every dataset image
+_RECORD_BYTES = 1 + 3 * CIFAR10_SIZE * CIFAR10_SIZE
 _TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
 _TEST_FILES = ("test_batch.bin",)
 
@@ -56,7 +57,7 @@ class JitterSpec:
     contrast: tuple = (0.6, 1.4)
     saturation: tuple = (0.6, 1.4)
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("brightness", "contrast", "saturation"):
             lo, hi = getattr(self, name)
             if not (0 < lo <= 1 <= hi):
@@ -82,24 +83,25 @@ class AugmentationSpec:
     routing: str = "identical"
     seed: int = 0
 
-    def validate(self, image_size=None):
+    def __post_init__(self):
         if self.pad < 0:
             raise ValueError(f"pad must be >= 0, got {self.pad}")
         if self.crop_size < 1:
             raise ValueError(f"crop_size must be >= 1, got {self.crop_size}")
         if not (0.0 <= self.hflip_prob <= 1.0):
             raise ValueError(f"hflip_prob must be in [0,1], got {self.hflip_prob}")
-        if self.jitter is not None:
-            self.jitter.validate()
         if len(self.mean) != 3 or len(self.std) != 3:
             raise ValueError("mean and std must have 3 components")
         if any(s <= 0 for s in self.std):
             raise ValueError(f"std components must be > 0, got {tuple(self.std)}")
         if self.routing not in ROUTINGS:
             raise ValueError(f"routing must be one of {ROUTINGS}, got {self.routing!r}")
-        if image_size is not None and self.crop_size > image_size + 2 * self.pad:
-            raise ValueError(f"crop_size {self.crop_size} exceeds padded image size "
-                             f"{image_size + 2 * self.pad}")
+
+    def check_crop(self, image_size):
+        """Raise unless the crop fits an image of ``image_size`` padded by ``pad``."""
+        padded = image_size + 2 * self.pad
+        if self.crop_size > padded:
+            raise ValueError(f"crop_size: {self.crop_size} exceeds padded image size {padded}")
 
     def to_dict(self):
         return {
@@ -114,20 +116,15 @@ class AugmentationSpec:
 
     @staticmethod
     def from_dict(d):
-        jitter = d.get("jitter")
         norm = d.get("normalize", {})
-        spec = AugmentationSpec(
-            pad=int(d.get("pad", 4)),
-            crop_size=int(d.get("crop_size", 32)),
-            hflip_prob=float(d.get("hflip_prob", 0.5)),
-            jitter=None if jitter is None else JitterSpec.from_dict(jitter),
-            mean=tuple(norm.get("mean", CIFAR10_MEAN)),
-            std=tuple(norm.get("std", CIFAR10_STD)),
-            routing=d.get("routing", "identical"),
-            seed=int(d.get("seed", 0)),
-        )
-        spec.validate()
-        return spec
+        fields = {k: f(d[k]) for k, f in (("pad", int), ("crop_size", int), ("hflip_prob", float),
+                                           ("seed", int)) if k in d}
+        fields.update({k: tuple(norm[k]) for k in ("mean", "std") if k in norm})
+        if "routing" in d:
+            fields["routing"] = d["routing"]
+        if d.get("jitter") is not None:
+            fields["jitter"] = JitterSpec.from_dict(d["jitter"])
+        return AugmentationSpec(**fields)
 
 
 def _load_record_file(path):
@@ -142,7 +139,7 @@ def _load_record_file(path):
     if bad.size:
         offset = int(bad[0]) * _RECORD_BYTES
         raise DataError(f"{path}: invalid label byte {labels[bad[0]]} at offset {offset}")
-    pixels = records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0
+    pixels = records[:, 1:].reshape(-1, 3, CIFAR10_SIZE, CIFAR10_SIZE).astype(np.float32) / 255.0
     return pixels, labels
 
 
@@ -314,8 +311,6 @@ def make_pod_inputs(pixels, spec, k, epoch=0, indices=None, train=True):
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     pixels = np.asarray(pixels, dtype=np.float32)
-    # crop geometry only applies in train mode; eval may see other view sizes
-    spec.validate(image_size=pixels.shape[-1] if train else None)
     b = pixels.shape[0]
     if indices is None:
         indices = np.arange(b)

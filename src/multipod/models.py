@@ -35,28 +35,30 @@ class PodBaseSpec:
 
     family: str
     n: int
-    stage_widths: tuple
-    feature_dim: int
 
-    def validate(self):
+    def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"unsupported depth parameter n={self.n!r}")
-        if tuple(self.stage_widths) != _STAGE_WIDTHS[self.family]:
-            raise ValueError(f"stage widths {self.stage_widths} unsupported for {self.family}")
-        if self.feature_dim != self.stage_widths[-1]:
-            raise ValueError("feature_dim must equal the last stage width")
+
+    @property
+    def stage_widths(self):
+        return _STAGE_WIDTHS[self.family]
+
+    @property
+    def feature_dim(self):
+        return self.stage_widths[-1]
 
 
 def resnet_cifar(n=3):
     """32x32-input family; n=3 is the 20-layer network with 64-dim features."""
-    return PodBaseSpec(CIFAR_FAMILY, n, _STAGE_WIDTHS[CIFAR_FAMILY], 64)
+    return PodBaseSpec(CIFAR_FAMILY, n)
 
 
 def resnet_imagenet(n=2):
     """224x224-input family; n=2 is the 18-layer network with 512-dim features."""
-    return PodBaseSpec(IMAGENET_FAMILY, n, _STAGE_WIDTHS[IMAGENET_FAMILY], 512)
+    return PodBaseSpec(IMAGENET_FAMILY, n)
 
 
 @dataclass(frozen=True)
@@ -69,15 +71,10 @@ class MultiPodSpec:
     seeds: tuple = None
 
     def __post_init__(self):
-        if self.seeds is None:
-            object.__setattr__(self, "seeds", tuple(range(self.pods)))
-        else:
-            object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-
-    def validate(self):
-        self.base.validate()
         if not isinstance(self.pods, int) or self.pods < 1:
             raise ValueError(f"pods must be >= 1, got {self.pods!r}")
+        seeds = range(self.pods) if self.seeds is None else self.seeds
+        object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
         if self.fusion not in FUSIONS:
             raise ValueError(f"unknown fusion {self.fusion!r}")
         if self.combine_mode not in COMBINE_MODES:
@@ -102,17 +99,9 @@ class MultiPodSpec:
 
     @staticmethod
     def from_dict(d):
-        base = resnet_cifar(d["n"]) if d["family"] == CIFAR_FAMILY else resnet_imagenet(d["n"])
-        spec = MultiPodSpec(
-            pods=int(d["pods"]),
-            base=base,
-            fusion=d.get("fusion", APPROACH1),
-            combine_mode=d.get("combine_mode", "sum"),
-            classes=int(d["classes"]),
-            seeds=tuple(d["seeds"]),
-        )
-        spec.validate()
-        return spec
+        return MultiPodSpec(base=PodBaseSpec(d["family"], d["n"]), pods=int(d["pods"]),
+                            classes=int(d["classes"]), seeds=tuple(d["seeds"]),
+                            **{k: d[k] for k in ("fusion", "combine_mode") if k in d})
 
 
 class ParamStore:
@@ -279,7 +268,6 @@ class PodForward:
 
 
 def _build_base_into(store, prefix, spec):
-    spec.validate()
     widths = spec.stage_widths
     segments = []
     if spec.family == CIFAR_FAMILY:
@@ -346,7 +334,6 @@ class MultiPodModel:
 
 def build_multipod(spec, dtype=np.float32):
     """Assemble and initialize a multi-pod model from its spec."""
-    spec.validate()
     store = ParamStore(dtype)
     pods = []
     for i in range(spec.pods):
@@ -367,7 +354,6 @@ def build_multipod(spec, dtype=np.float32):
 
 def count_base_params(spec):
     """Exact trainable-scalar count of one pod base, by architecture walk."""
-    spec.validate()
     widths = spec.stage_widths
     stem_kernel = 3 if spec.family == CIFAR_FAMILY else 7
     total = 3 * widths[0] * stem_kernel * stem_kernel + 2 * widths[0]
@@ -384,7 +370,6 @@ def count_base_params(spec):
 
 def count_params(spec):
     """Exact trainable-scalar count of the assembled multi-pod model."""
-    spec.validate()
     k, L, P = spec.pods, spec.base.feature_dim, spec.classes
     base = count_base_params(spec.base)
     if spec.fusion == APPROACH1:

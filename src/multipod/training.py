@@ -44,7 +44,7 @@ class TrainingSchedule:
     momentum: float = 0.9
     weight_decay: float = 1e-4
 
-    def validate(self):
+    def __post_init__(self):
         if self.base_lr <= 0:
             raise ValueError(f"base_lr must be > 0, got {self.base_lr}")
         if not (0 < self.decay <= 1):
@@ -70,17 +70,10 @@ class TrainingSchedule:
 
     @staticmethod
     def from_dict(d):
-        sched = TrainingSchedule(
-            base_lr=float(d.get("base_lr", 0.1)),
-            milestones=tuple(int(m) for m in d.get("milestones", ())),
-            decay=float(d.get("decay", 0.1)),
-            epochs=int(d.get("epochs", 200)),
-            batch_size=int(d.get("batch_size", 128)),
-            momentum=float(d.get("momentum", 0.9)),
-            weight_decay=float(d.get("weight_decay", 1e-4)),
-        )
-        sched.validate()
-        return sched
+        convert = {"base_lr": float, "milestones": lambda ms: tuple(int(m) for m in ms),
+                   "decay": float, "epochs": int, "batch_size": int, "momentum": float,
+                   "weight_decay": float}
+        return TrainingSchedule(**{k: f(d[k]) for k, f in convert.items() if k in d})
 
 
 def lr_at_epoch(schedule, epoch):
@@ -350,7 +343,7 @@ class TrainResult:
 
 
 def train(model, train_batch, eval_batch, schedule, aug, out_dir=None,
-          log_stream=None, resume_from=None, early_stop=None):
+          resume_from=None, early_stop=None):
     """Run the full schedule; returns records plus the best checkpoint.
 
     Per epoch: seeded shuffle, per-batch augmentation with per-pod routing,
@@ -361,8 +354,7 @@ def train(model, train_batch, eval_batch, schedule, aug, out_dir=None,
     dropping those of epochs at or past the start: a fresh run starts a clean
     log, and a resumed run drops any epoch its checkpoint does not hold.
     """
-    schedule.validate()
-    aug.validate(image_size=train_batch.pixels.shape[-1])
+    aug.check_crop(train_batch.pixels.shape[-1])
     store = model.store
     k = model.spec.pods
     seed = aug.seed
@@ -418,10 +410,9 @@ def train(model, train_batch, eval_batch, schedule, aug, out_dir=None,
                                     eval_top1=ev.top1, eval_top5=ev.top5,
                                     wall_time=time.time() - t0)
             records.append(record)
-            for stream in (log_stream, log_file):
-                if stream is not None:
-                    stream.write(json.dumps(record.to_dict()) + "\n")
-                    stream.flush()
+            if log_file is not None:
+                log_file.write(json.dumps(record.to_dict()) + "\n")
+                log_file.flush()
             if ev.top1 > best_top1:
                 best_top1 = ev.top1
                 best = Checkpoint.from_model(model, epoch + 1, seed, best_top1)

@@ -8,9 +8,13 @@ import numpy as np
 import pytest
 
 from multipod.cli import main
-from multipod.config import parse_config
+from multipod.config import ConfigError, parse_config
 from multipod.data import DataError, read_ppm, write_ppm
 from multipod.models import MultiPodSpec, count_params, resnet_cifar
+from test_data import fake_cifar_dir
+
+ROOT = pathlib.Path(__file__).parents[1]
+SHIPPED_CONFIGS = sorted((ROOT / "configs").glob("*.json")) + [ROOT / "perfbench" / "tripod.json"]
 
 
 def toy_config_doc(out_dir=None, **tweaks):
@@ -198,12 +202,27 @@ class TestTrain:
             assert f"{path}: unknown key" in err
         assert "model: required object" in err
 
-    @pytest.mark.parametrize("name", ["cifar10-tripod.json", "cifar10-tripod-jitter.json",
-                                      "toy-synthetic.json"])
-    def test_written_config_parses_back_equal(self, name):
-        path = pathlib.Path(__file__).parents[1] / "configs" / name
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_written_config_parses_back_equal(self, path):
         cfg = parse_config(path.read_text())
         assert parse_config(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        assert parse_config(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+    def test_misspelt_family_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="model: unknown family 'resnet-cfar'"):
+            parse_config(toy_config_doc(**{"model.family": "resnet-cfar"}))
+
+    def test_cifar10_crop_larger_than_padded_image_leaves_nothing(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        cfg = write_config(tmp_path, out_dir=str(out_dir),
+                           **{"data": {"kind": "cifar10", "path": str(fake_cifar_dir(data_dir))},
+                              "model.classes": 10, "augmentation.pad": 4,
+                              "augmentation.crop_size": 48})
+        assert main(["train", "--config", cfg]) == 2
+        assert "augmentation.crop_size" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_invalid_data_field_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"data.classes": 1})

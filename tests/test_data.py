@@ -191,23 +191,30 @@ class TestSpecs:
                                 routing="per-pod-jitter", seed=9)
         assert AugmentationSpec.from_dict(spec.to_dict()) == spec
 
+    def test_from_dict_falls_back_to_field_defaults(self):
+        assert AugmentationSpec.from_dict({}) == AugmentationSpec()
+
     @pytest.mark.parametrize("kwargs", [
         dict(pad=-1),
         dict(crop_size=0),
         dict(hflip_prob=1.5),
         dict(routing="per-sample"),
         dict(std=(0.0, 1.0, 1.0)),
-        dict(jitter=JitterSpec(brightness=(0.0, 1.4))),
-        dict(jitter=JitterSpec(contrast=(0.6, 0.9))),
+        dict(jitter=dict(brightness=(0.0, 1.4))),
+        dict(jitter=dict(contrast=(0.6, 0.9))),
     ])
     def test_invalid_specs(self, kwargs):
+        # a jitter case is given as JitterSpec fields: that constructor raises
         with pytest.raises(ValueError):
-            AugmentationSpec(**kwargs).validate()
+            if "jitter" in kwargs:
+                kwargs = dict(kwargs, jitter=JitterSpec(**kwargs["jitter"]))
+            AugmentationSpec(**kwargs)
 
     def test_crop_must_fit_padded_image(self):
         spec = AugmentationSpec(pad=1, crop_size=32)
-        with pytest.raises(ValueError):
-            spec.validate(image_size=16)
+        spec.check_crop(30)
+        with pytest.raises(ValueError, match="crop_size: 32 exceeds padded image size 18"):
+            spec.check_crop(16)
 
 
 def small_batch(samples=8, size=16, seed=0):

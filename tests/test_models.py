@@ -80,6 +80,11 @@ class TestSpecValidation:
     def test_default_seeds_are_range(self):
         assert tripod(APPROACH1).seeds == (0, 1, 2)
 
+    def test_from_dict_falls_back_to_field_defaults(self):
+        d = tripod(APPROACH2, combine="product").to_dict()
+        del d["fusion"], d["combine_mode"]
+        assert MultiPodSpec.from_dict(d) == MultiPodSpec(pods=3, base=resnet_cifar(3))
+
     @pytest.mark.parametrize("kwargs", [
         dict(pods=0),
         dict(pods=2, fusion="bogus"),
@@ -92,11 +97,11 @@ class TestSpecValidation:
         defaults = dict(pods=2, base=resnet_cifar(1), fusion=APPROACH1)
         defaults.update(kwargs)
         with pytest.raises(ValueError):
-            MultiPodSpec(**defaults).validate()
+            MultiPodSpec(**defaults)
 
     def test_bad_base_depth(self):
         with pytest.raises(ValueError):
-            resnet_cifar(0).validate()
+            resnet_cifar(0)
 
     def test_family_depths(self):
         assert resnet_cifar(3).feature_dim == 64

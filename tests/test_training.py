@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import io
 import json
 import weakref
 
@@ -58,12 +57,17 @@ class TestSchedule:
         defaults = dict(epochs=200)
         defaults.update(kwargs)
         with pytest.raises(ValueError):
-            TrainingSchedule(**defaults).validate()
+            TrainingSchedule(**defaults)
 
     def test_round_trip(self):
         sched = TrainingSchedule(base_lr=0.2, milestones=(3, 7), epochs=9,
                                  batch_size=32, momentum=0.8, weight_decay=0.0)
         assert TrainingSchedule.from_dict(sched.to_dict()) == sched
+
+    def test_from_dict_falls_back_to_field_defaults(self):
+        # an omitted milestones list is the paper's (82, 122, 163), not none
+        assert TrainingSchedule.from_dict({}) == TrainingSchedule()
+        assert TrainingSchedule.from_dict({}).milestones == (82, 122, 163)
 
 
 def single_param_store(value):
@@ -422,15 +426,20 @@ class TestTrainLoop:
     def test_jsonl_log_matches_records(self, tmp_path):
         model, train_batch, eval_batch, aug = tiny_setup()
         sched = TrainingSchedule(base_lr=0.05, milestones=(), epochs=2, batch_size=8)
-        stream = io.StringIO()
-        result = train(model, train_batch, eval_batch, sched, aug,
-                       out_dir=str(tmp_path), log_stream=stream)
+        result = train(model, train_batch, eval_batch, sched, aug, out_dir=str(tmp_path))
         lines = (tmp_path / "train_log.jsonl").read_text().splitlines()
         assert len(lines) == 2
         assert [json.loads(l) for l in lines] == [r.to_dict() for r in result.records]
-        assert stream.getvalue().splitlines() == lines
         assert (tmp_path / "best.ckpt").exists()
         assert (tmp_path / "last.ckpt").exists()
+
+    def test_crop_is_checked_before_anything_is_written(self, tmp_path):
+        model, train_batch, eval_batch, aug = tiny_setup()
+        sched = TrainingSchedule(milestones=(), epochs=1, batch_size=8)
+        big_crop = dataclasses.replace(aug, crop_size=21)  # 16 + 2 * 2 = 20 fits
+        with pytest.raises(ValueError, match="crop_size: 21 exceeds padded image size 20"):
+            train(model, train_batch, eval_batch, sched, big_crop, out_dir=str(tmp_path / "run"))
+        assert not (tmp_path / "run").exists()
 
     def test_best_checkpoint_tracks_peak_eval(self, tmp_path):
         model, train_batch, eval_batch, aug = tiny_setup()
