@@ -121,11 +121,13 @@ def cmd_train(args):
     result = train(model, train_batch, eval_batch, cfg.schedule, cfg.augmentation,
                    out_dir=out_dir, resume_from=resume, early_stop=progress)
 
-    best_rec = max(result.records, key=lambda r: r.eval_top1, default=None)
+    # the best epoch of the whole run, resumed or not: the first peak, as in best.ckpt
+    with open(os.path.join(out_dir, "train_log.jsonl")) as f:
+        best = max(map(json.loads, f), key=lambda r: r["eval_top1"], default={})
     summary = {
-        "best_top1": result.best_top1,
-        "best_top5": best_rec.eval_top5 if best_rec is not None else None,
-        "best_epoch": best_rec.epoch if best_rec is not None else None,
+        "best_top1": best.get("eval_top1"),
+        "best_top5": best.get("eval_top5"),
+        "best_epoch": best.get("epoch"),
         "param_count": count_params(cfg.model),
         "epochs_run": len(result.records),
         "wall_time": result.wall_time,
@@ -186,10 +188,6 @@ def cmd_gradcheck(args):
 def cmd_eval(args):
     ckpt = load_checkpoint(args.checkpoint)
     cfg = load_config(args.config)
-    if cfg.model.to_dict() != ckpt.spec:
-        raise CheckpointError(
-            f"checkpoint model spec {ckpt.spec} does not match config model "
-            f"{cfg.model.to_dict()}")
     model = build_multipod(cfg.model)
     ckpt.apply(model)
     _, eval_batch = load_data(cfg)
@@ -214,8 +212,7 @@ def cmd_augment_preview(args):
     # identity normalization keeps previews in displayable [0,1] pixel space
     spec = AugmentationSpec(
         pad=args.pad, crop_size=crop, hflip_prob=args.hflip,
-        jitter=JitterSpec(tuple(args.brightness), tuple(args.contrast),
-                          tuple(args.saturation)),
+        jitter=JitterSpec(args.brightness, args.contrast, args.saturation),
         mean=(0.0, 0.0, 0.0), std=(1.0, 1.0, 1.0),
         routing=args.routing, seed=args.seed)
     views = make_pod_inputs(img[None], spec, args.pods,

@@ -59,6 +59,7 @@ class JitterSpec:
 
     def __post_init__(self):
         for name in ("brightness", "contrast", "saturation"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
             lo, hi = getattr(self, name)
             if not (0 < lo <= 1 <= hi):
                 raise ValueError(f"{name} range must be a positive interval containing 1, got {(lo, hi)}")
@@ -69,7 +70,7 @@ class JitterSpec:
 
     @staticmethod
     def from_dict(d):
-        return JitterSpec(tuple(d["brightness"]), tuple(d["contrast"]), tuple(d["saturation"]))
+        return JitterSpec(d["brightness"], d["contrast"], d["saturation"])
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,8 @@ class AugmentationSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "mean", tuple(self.mean))
+        object.__setattr__(self, "std", tuple(self.std))
         if self.pad < 0:
             raise ValueError(f"pad must be >= 0, got {self.pad}")
         if self.crop_size < 1:
@@ -93,7 +96,7 @@ class AugmentationSpec:
         if len(self.mean) != 3 or len(self.std) != 3:
             raise ValueError("mean and std must have 3 components")
         if any(s <= 0 for s in self.std):
-            raise ValueError(f"std components must be > 0, got {tuple(self.std)}")
+            raise ValueError(f"std components must be > 0, got {self.std}")
         if self.routing not in ROUTINGS:
             raise ValueError(f"routing must be one of {ROUTINGS}, got {self.routing!r}")
 
@@ -119,7 +122,7 @@ class AugmentationSpec:
         norm = d.get("normalize", {})
         fields = {k: f(d[k]) for k, f in (("pad", int), ("crop_size", int), ("hflip_prob", float),
                                            ("seed", int)) if k in d}
-        fields.update({k: tuple(norm[k]) for k in ("mean", "std") if k in norm})
+        fields.update({k: norm[k] for k in ("mean", "std") if k in norm})
         if "routing" in d:
             fields["routing"] = d["routing"]
         if d.get("jitter") is not None:
@@ -252,18 +255,16 @@ def _luma(img):
 _JITTER_OPS = ("brightness", "contrast", "saturation")
 
 
-def color_jitter(img, brightness=1.0, contrast=1.0, saturation=1.0, order=None, rng=None):
+def color_jitter(img, brightness=1.0, contrast=1.0, saturation=1.0, *, order):
     """Blend brightness, contrast, and saturation by the given factors.
 
-    Sub-operations run in ``order`` (a permutation of op names), drawn from
-    ``rng`` when not given. The result is clamped to [0,1] at the end.
+    Sub-operations run in ``order`` (a permutation of op names). The result
+    is clamped to [0,1] at the end.
     """
     for name, f in (("brightness", brightness), ("contrast", contrast),
                     ("saturation", saturation)):
         if f < 0:
             raise ValueError(f"{name} factor must be >= 0, got {f}")
-    if order is None:
-        order = tuple(_JITTER_OPS[i] for i in rng.permutation(3))
     out = np.asarray(img, dtype=np.float32)
     for op in order:
         if op == "brightness":
@@ -302,11 +303,11 @@ def sample_rng(seed, epoch, index):
 def make_pod_inputs(pixels, spec, k, epoch=0, indices=None, train=True):
     """Produce the k per-pod input arrays for one batch.
 
-    Geometry (crop, flip) is always shared across pods. Routing controls the
-    photometric part: ``identical`` applies no jitter, ``shared-jitter`` draws
-    one set of factors for all pods, ``per-pod-jitter`` draws k independent
-    sets. Eval mode (train=False) normalizes only, and returns one read-only
-    array k times.
+    Geometry (crop, flip) is always shared across pods. Routing sets how many
+    photometric jitter draws each sample takes after its crop and flip:
+    ``identical`` (or no jitter spec) none, ``shared-jitter`` one for all
+    pods, ``per-pod-jitter`` one per pod. Eval mode (train=False) normalizes
+    only, and returns one read-only array k times.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -320,23 +321,16 @@ def make_pod_inputs(pixels, spec, k, epoch=0, indices=None, train=True):
         out.flags.writeable = False
         return [out] * k
 
-    pods = [np.empty((b, 3, spec.crop_size, spec.crop_size), dtype=np.float32)
-            for _ in range(k)]
+    draws = 0 if spec.routing == "identical" or spec.jitter is None else (
+        1 if spec.routing == "shared-jitter" else k)
+    views = np.empty((k, b, 3, spec.crop_size, spec.crop_size), dtype=np.float32)
     for i in range(b):
         rng = sample_rng(spec.seed, epoch, indices[i])
         img = pad_random_crop(pixels[i:i + 1], spec.pad, spec.crop_size, rng=rng)[0]
         if rng.random() < spec.hflip_prob:
             img = img[..., ::-1]
-        if spec.routing == "identical" or spec.jitter is None:
-            views = [img] * k
-        elif spec.routing == "shared-jitter":
-            (bf, cf, sf), order = _draw_jitter(rng, spec.jitter)
-            views = [color_jitter(img, bf, cf, sf, order=order)] * k
-        else:
-            views = []
-            for _ in range(k):
-                (bf, cf, sf), order = _draw_jitter(rng, spec.jitter)
-                views.append(color_jitter(img, bf, cf, sf, order=order))
-        for p in range(k):
-            pods[p][i] = normalize(views[p], spec.mean, spec.std)
-    return pods
+        # one draw broadcasts to every pod; k draws give each pod its own
+        jittered = [color_jitter(img, *factors, order=order)
+                    for factors, order in (_draw_jitter(rng, spec.jitter) for _ in range(draws))]
+        views[:, i] = jittered if draws else img
+    return list(normalize(views, spec.mean, spec.std))

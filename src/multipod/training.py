@@ -45,6 +45,7 @@ class TrainingSchedule:
     weight_decay: float = 1e-4
 
     def __post_init__(self):
+        object.__setattr__(self, "milestones", tuple(self.milestones))
         if self.base_lr <= 0:
             raise ValueError(f"base_lr must be > 0, got {self.base_lr}")
         if not (0 < self.decay <= 1):
@@ -57,7 +58,7 @@ class TrainingSchedule:
             raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        ms = tuple(self.milestones)
+        ms = self.milestones
         if any(ms[i] >= ms[i + 1] for i in range(len(ms) - 1)):
             raise ValueError(f"milestones must be strictly increasing, got {ms}")
         if any(not (0 <= m < self.epochs) for m in ms):
@@ -135,74 +136,60 @@ def _topk_hits(scores, labels, k):
     return (order == np.asarray(labels)[:, None]).any(axis=1)
 
 
-def _center_crop(pixels, size):
+def _crop_views(pixels, size, ten):
+    """The eval views of ``pixels``: the center size x size window alone, or
+    with ``ten`` the four corners and the center, each followed by its
+    horizontal flip."""
     h, w = pixels.shape[-2:]
     if size > h or size > w:
         raise ValueError(f"crop size {size} exceeds image size {(h, w)}")
-    r, c = (h - size) // 2, (w - size) // 2
-    return pixels[..., r:r + size, c:c + size]
+    corners = [(0, 0), (0, w - size), (h - size, 0), (h - size, w - size)] if ten else []
+    for r, c in corners + [((h - size) // 2, (w - size) // 2)]:
+        view = pixels[..., r:r + size, c:c + size]
+        yield view
+        if ten:
+            yield view[..., ::-1]
 
 
-def _eval_forward(model, pixels, aug):
-    views = make_pod_inputs(pixels, aug, model.spec.pods, train=False)
-    with T.no_grad():
-        return model.forward([T.Tensor(v) for v in views], training=False).data
-
-
-def evaluate_center_crop(model, batch, aug, batch_size=256):
-    """Deterministic single-crop evaluation; returns top-1/top-5/mean loss."""
+def _evaluate(model, batch, aug, size, batch_size, ten):
+    # The scoring loop of both protocols. One view scores by its float32
+    # logits; ten views by the float64 mean of their softmax probabilities.
     if len(batch) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     classes = model.spec.classes
     hits1 = hits5 = 0
     loss_sum = 0.0
     for lo in range(0, len(batch), batch_size):
-        pixels = _center_crop(batch.pixels[lo:lo + batch_size], aug.crop_size)
         labels = batch.labels[lo:lo + batch_size]
-        logits = _eval_forward(model, pixels, aug)
-        hits1 += int(_topk_hits(logits, labels, 1).sum())
-        hits5 += int(_topk_hits(logits, labels, min(5, classes)).sum())
-        loss_sum -= float(T.log_softmax(logits)[np.arange(len(labels)), labels].sum())
+        rows = np.arange(len(labels))
+        logits = []
+        for view in _crop_views(batch.pixels[lo:lo + batch_size], size, ten):
+            pods = make_pod_inputs(view, aug, model.spec.pods, train=False)
+            with T.no_grad():
+                logits.append(model.forward([T.Tensor(p) for p in pods], training=False).data)
+        if ten:
+            scores = sum(np.exp(T.log_softmax(z.astype(np.float64))) for z in logits) / 10.0
+            nll = -np.log(np.clip(scores[rows, labels], 1e-12, None))
+        else:
+            scores = logits[0]
+            nll = -T.log_softmax(scores)[rows, labels]
+        hits1 += int(_topk_hits(scores, labels, 1).sum())
+        hits5 += int(_topk_hits(scores, labels, min(5, classes)).sum())
+        loss_sum += float(nll.sum())
     n = len(batch)
     return EvalResult(hits1 / n, hits5 / n, loss_sum / n)
 
 
-def _ten_crop_views(pixels, size):
-    h, w = pixels.shape[-2:]
-    corners = [(0, 0), (0, w - size), (h - size, 0), (h - size, w - size),
-               ((h - size) // 2, (w - size) // 2)]
-    for r, c in corners:
-        view = pixels[..., r:r + size, c:c + size]
-        yield view
-        yield view[..., ::-1]
+def evaluate_center_crop(model, batch, aug, batch_size=256):
+    """Deterministic single-crop evaluation; returns top-1/top-5/mean loss."""
+    return _evaluate(model, batch, aug, aug.crop_size, batch_size, ten=False)
 
 
 def evaluate_ten_crop(model, batch, aug, crop_size=None, batch_size=64):
     """Four corners + center, each with its horizontal flip; softmax
     probabilities averaged over the 10 views, prediction from the mean."""
-    if len(batch) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
     size = aug.crop_size if crop_size is None else crop_size
-    h, w = batch.pixels.shape[-2:]
-    if size > h or size > w:
-        raise ValueError(f"crop size {size} exceeds image size {(h, w)}")
-    classes = model.spec.classes
-    hits1 = hits5 = 0
-    loss_sum = 0.0
-    for lo in range(0, len(batch), batch_size):
-        pixels = batch.pixels[lo:lo + batch_size]
-        labels = batch.labels[lo:lo + batch_size]
-        mean_probs = np.zeros((len(labels), classes), dtype=np.float64)
-        for view in _ten_crop_views(pixels, size):
-            logits = _eval_forward(model, np.ascontiguousarray(view), aug)
-            mean_probs += np.exp(T.log_softmax(logits.astype(np.float64)))
-        mean_probs /= 10.0
-        hits1 += int(_topk_hits(mean_probs, labels, 1).sum())
-        hits5 += int(_topk_hits(mean_probs, labels, min(5, classes)).sum())
-        p_true = mean_probs[np.arange(len(labels)), labels]
-        loss_sum += float(-np.log(np.clip(p_true, 1e-12, None)).sum())
-    n = len(batch)
-    return EvalResult(hits1 / n, hits5 / n, loss_sum / n)
+    return _evaluate(model, batch, aug, size, batch_size, ten=True)
 
 
 @dataclass
@@ -413,14 +400,13 @@ def train(model, train_batch, eval_batch, schedule, aug, out_dir=None,
             if log_file is not None:
                 log_file.write(json.dumps(record.to_dict()) + "\n")
                 log_file.flush()
+            ckpt = Checkpoint.from_model(model, epoch + 1, seed, max(best_top1, ev.top1))
             if ev.top1 > best_top1:
-                best_top1 = ev.top1
-                best = Checkpoint.from_model(model, epoch + 1, seed, best_top1)
+                best_top1, best = ev.top1, ckpt
                 if out_dir is not None:
-                    save_checkpoint(best, os.path.join(out_dir, "best.ckpt"))
+                    save_checkpoint(ckpt, os.path.join(out_dir, "best.ckpt"))
             if out_dir is not None:
-                save_checkpoint(Checkpoint.from_model(model, epoch + 1, seed, best_top1),
-                                os.path.join(out_dir, "last.ckpt"))
+                save_checkpoint(ckpt, os.path.join(out_dir, "last.ckpt"))
             if early_stop is not None and early_stop(record, model):
                 break
     finally:

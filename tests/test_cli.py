@@ -184,6 +184,21 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--resume"]) == 0
         assert [r["epoch"] for r in log_lines(out_dir)] == [0, 1]
 
+    def test_resumed_summary_reports_the_whole_run(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        cfg = write_config(tmp_path, out_dir=str(out_dir))
+        assert main(["train", "--config", cfg]) == 0
+        fresh = json.loads((out_dir / "summary.json").read_text())
+        # resuming a finished run trains no epoch but reports the same best epoch
+        assert main(["train", "--config", cfg, "--resume"]) == 0
+        resumed = json.loads((out_dir / "summary.json").read_text())
+        rows = log_lines(out_dir)
+        best = max(rows, key=lambda r: r["eval_top1"])  # the first peak
+        for summary in (fresh, resumed):
+            assert (summary["best_top1"], summary["best_top5"], summary["best_epoch"]) == (
+                best["eval_top1"], best["eval_top5"], best["epoch"])
+        assert (fresh["epochs_run"], resumed["epochs_run"]) == (2, 0)
+
     def test_invalid_config_reports_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"augmentation.routing": "alternating"})
         assert main(["train", "--config", cfg]) == 2

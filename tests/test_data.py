@@ -157,7 +157,8 @@ class TestColorJitter:
 
     def test_negative_factor_rejected(self, rng):
         with pytest.raises(ValueError):
-            color_jitter(np.zeros((3, 2, 2)), brightness=-0.1, rng=np.random.default_rng(0))
+            color_jitter(np.zeros((3, 2, 2)), brightness=-0.1,
+                         order=("brightness", "contrast", "saturation"))
 
     def test_order_matters_for_extreme_factors(self, rng):
         img = rng.random((3, 6, 6), dtype=np.float32)
@@ -193,6 +194,14 @@ class TestSpecs:
 
     def test_from_dict_falls_back_to_field_defaults(self):
         assert AugmentationSpec.from_dict({}) == AugmentationSpec()
+
+    def test_sequence_fields_are_stored_as_tuples(self):
+        listed = AugmentationSpec(mean=[0.1, 0.2, 0.3], std=[1.0, 2.0, 3.0],
+                                  jitter=JitterSpec([0.8, 1.2], [0.9, 1.1], [1.0, 1.0]))
+        tupled = AugmentationSpec(mean=(0.1, 0.2, 0.3), std=(1.0, 2.0, 3.0),
+                                  jitter=JitterSpec((0.8, 1.2), (0.9, 1.1), (1.0, 1.0)))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert JitterSpec(brightness=[0.5, 1.5]) == JitterSpec(brightness=(0.5, 1.5))
 
     @pytest.mark.parametrize("kwargs", [
         dict(pad=-1),

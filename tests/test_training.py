@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import multipod.tensor as T
+import multipod.training as training
 from multipod.data import AugmentationSpec, ImageBatch, synthetic_dataset
 from multipod.models import (APPROACH1, APPROACH2, MultiPodSpec, ParamStore,
                              build_multipod, resnet_cifar)
@@ -68,6 +69,11 @@ class TestSchedule:
         # an omitted milestones list is the paper's (82, 122, 163), not none
         assert TrainingSchedule.from_dict({}) == TrainingSchedule()
         assert TrainingSchedule.from_dict({}).milestones == (82, 122, 163)
+
+    def test_milestones_are_stored_as_a_tuple(self):
+        listed = TrainingSchedule(milestones=[5], epochs=10)
+        assert listed == TrainingSchedule(milestones=(5,), epochs=10)
+        assert hash(listed) == hash(TrainingSchedule(milestones=(5,), epochs=10))
 
 
 def single_param_store(value):
@@ -192,14 +198,6 @@ class TestCenterCropEval:
         res = evaluate_center_crop(Readout(), batch, identity_aug(4))
         assert res.top1 == 1.0 and res.top5 == 1.0
 
-    def test_batch_size_does_not_change_result(self):
-        batch = random_batch(10, 4, classes=6, seed=6)
-        model = ProjectionModel(4, 6, seed=7)
-        a = evaluate_center_crop(model, batch, identity_aug(4), batch_size=3)
-        b = evaluate_center_crop(model, batch, identity_aug(4), batch_size=256)
-        assert a.top1 == b.top1 and a.top5 == b.top5
-        assert np.isclose(a.loss, b.loss, rtol=1e-6)  # BLAS grouping jitter only
-
     def test_center_crop_takes_middle_window(self):
         batch = random_batch(4, 8, classes=3, seed=8)
         model = ProjectionModel(4, 3, seed=9)
@@ -250,6 +248,39 @@ class TestTenCropEval:
         batch = ImageBatch(np.zeros((1, 3, 4, 4)), np.zeros(1)).subset([])
         with pytest.raises(ValueError):
             evaluate_ten_crop(ConstantModel(np.zeros(3)), batch, identity_aug(4))
+
+
+class TestScoringLoop:
+    @pytest.mark.parametrize("evaluate", [evaluate_center_crop, evaluate_ten_crop],
+                             ids=["center", "tencrop"])
+    def test_batch_size_does_not_change_result(self, evaluate):
+        batch = random_batch(10, 6, classes=6, seed=6)
+        model = ProjectionModel(4, 6, seed=7)
+        a = evaluate(model, batch, identity_aug(4), batch_size=3)
+        b = evaluate(model, batch, identity_aug(4), batch_size=256)
+        assert a.top1 == b.top1 and a.top5 == b.top5
+        assert np.isclose(a.loss, b.loss, rtol=1e-6)  # BLAS grouping jitter only
+
+    def test_train_and_both_protocols_make_views_through_the_module(self, monkeypatch):
+        # perfbench traces make_pod_inputs by replacing the training module's name
+        calls = []
+        make = training.make_pod_inputs
+
+        def counting(pixels, aug, k, **kwargs):
+            calls.append(kwargs.get("train", True))
+            return make(pixels, aug, k, **kwargs)
+
+        monkeypatch.setattr(training, "make_pod_inputs", counting)
+        model, train_batch, eval_batch, aug = tiny_setup(samples=8, eval_samples=4)
+        sched = TrainingSchedule(base_lr=0.05, milestones=(), epochs=1, batch_size=8)
+        train(model, train_batch, eval_batch, sched, aug)
+        assert calls == [True, False]  # one step, then one center-crop eval batch
+        calls.clear()
+        evaluate_center_crop(model, eval_batch, aug, batch_size=3)
+        assert calls == [False] * 2
+        calls.clear()
+        evaluate_ten_crop(model, eval_batch, aug, crop_size=12, batch_size=3)
+        assert calls == [False] * 20  # ten views per batch
 
 
 def tiny_spec(pods=2, classes=4):
