@@ -4,7 +4,7 @@ numpy-backed reverse-mode autodiff engine."""
 from .data import (AugmentationSpec, CIFAR10_MEAN, CIFAR10_STD, DataError,
                    ImageBatch, IMAGENET_MEAN, IMAGENET_STD, JitterSpec,
                    color_jitter, load_cifar10, make_pod_inputs, normalize,
-                   pad_random_crop, synthetic_dataset)
+                   synthetic_dataset)
 from .gradcheck import GradCheckReport, gradient_check
 from .models import (APPROACH1, APPROACH2, MultiPodModel, MultiPodSpec,
                      ParamStore, PodBaseSpec, build_multipod, build_pod_base,
@@ -28,7 +28,7 @@ __all__ = [
     "count_params", "evaluate_center_crop", "evaluate_ten_crop",
     "gradient_check", "init_params", "load_checkpoint", "load_cifar10",
     "load_config", "load_data", "lr_at_epoch", "make_pod_inputs", "no_grad",
-    "normalize", "pad_random_crop", "parse_config", "resnet_cifar",
+    "normalize", "parse_config", "resnet_cifar",
     "resnet_imagenet", "save_checkpoint", "sgd_step", "synthetic_dataset",
     "train",
 ]

@@ -22,7 +22,7 @@ from .gradcheck import gradient_check
 from .models import (APPROACH1, APPROACH2, CIFAR_FAMILY, COMBINE_MODES, MultiPodSpec,
                      build_multipod, count_params, resnet_cifar, resnet_imagenet)
 from .training import (CheckpointError, NumericalAbort, evaluate_center_crop,
-                       evaluate_ten_crop, load_checkpoint, train)
+                       evaluate_ten_crop, load_checkpoint, train, write_atomically)
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -107,9 +107,8 @@ def cmd_train(args):
 
     os.makedirs(out_dir, exist_ok=True)
     effective = dataclasses.replace(cfg, output_dir=out_dir)
-    with open(os.path.join(out_dir, "config.json"), "w") as f:
-        json.dump(effective.to_dict(), f, indent=2)
-        f.write("\n")
+    write_atomically(os.path.join(out_dir, "config.json"),
+                     lambda f: f.write(json.dumps(effective.to_dict(), indent=2) + "\n"))
 
     def progress(record, _model):
         print(f"epoch {record.epoch}: lr={record.lr:g} "
@@ -133,9 +132,8 @@ def cmd_train(args):
         "wall_time": result.wall_time,
         "machine": _machine(),
     }
-    with open(os.path.join(out_dir, "summary.json"), "w") as f:
-        json.dump(summary, f, indent=2)
-        f.write("\n")
+    write_atomically(os.path.join(out_dir, "summary.json"),
+                     lambda f: f.write(json.dumps(summary, indent=2) + "\n"))
     print(f"best eval top1={result.best_top1:.4f}; artifacts in {out_dir}")
     return EXIT_OK
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .checks import FieldError
 from .data import CIFAR10_SIZE, AugmentationSpec, load_cifar10, synthetic_dataset
 from .models import MultiPodSpec
 from .training import TrainingSchedule
@@ -97,10 +98,7 @@ def parse_config(doc):
     if not isinstance(doc.get("model"), dict):
         errors.append("model: required object")
     else:
-        try:
-            model = MultiPodSpec.from_dict(doc["model"])
-        except (ValueError, KeyError, TypeError) as e:
-            errors.append(f"model: {e}")
+        model = _section("model", MultiPodSpec.from_dict, doc["model"], errors)
 
     data = None
     if not isinstance(doc.get("data"), dict):
@@ -108,19 +106,10 @@ def parse_config(doc):
     else:
         data = _parse_data_section(doc["data"], errors)
 
-    schedule = None
-    try:
-        schedule = TrainingSchedule.from_dict(doc.get("schedule", {}))
-    except (ValueError, TypeError) as e:
-        errors.append(f"schedule: {e}")
-
-    augmentation = None
-    try:
-        aug_doc = dict(doc.get("augmentation", {}))
-        aug_doc["seed"] = seed  # the run seed drives all data-side randomness
-        augmentation = AugmentationSpec.from_dict(aug_doc)
-    except (ValueError, TypeError) as e:
-        errors.append(f"augmentation: {e}")
+    schedule = _section("schedule", TrainingSchedule.from_dict, doc.get("schedule", {}), errors)
+    # the run seed drives all data-side randomness
+    augmentation = _section("augmentation", lambda d: AugmentationSpec.from_dict({**d, "seed": seed}),
+                            doc.get("augmentation", {}), errors)
 
     if model is not None and data is not None:
         if model.classes != data["classes"]:
@@ -142,6 +131,18 @@ def parse_config(doc):
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
     return RunConfig(model, data, schedule, augmentation, output_dir, seed)
+
+
+def _section(name, from_dict, d, errors):
+    # The spec ``from_dict`` builds from section ``name``, or None with each
+    # error appended: a spec's field errors each get the section's path.
+    try:
+        return from_dict(d)
+    except FieldError as e:
+        errors.extend(f"{name}.{line}" for line in e.lines)
+    except (ValueError, KeyError, TypeError) as e:
+        errors.append(f"{name}: {e}")
+    return None
 
 
 def _unknown_keys(doc, written, path, errors):

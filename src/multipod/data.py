@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_fields
+
 CIFAR10_MEAN = (0.4914, 0.4822, 0.4465)
 CIFAR10_STD = (0.2023, 0.1994, 0.2010)
 IMAGENET_MEAN = (0.485, 0.456, 0.406)
@@ -58,11 +60,11 @@ class JitterSpec:
     saturation: tuple = (0.6, 1.4)
 
     def __post_init__(self):
-        for name in ("brightness", "contrast", "saturation"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-            lo, hi = getattr(self, name)
-            if not (0 < lo <= 1 <= hi):
-                raise ValueError(f"{name} range must be a positive interval containing 1, got {(lo, hi)}")
+        ranges = [(name, tuple(getattr(self, name))) for name in ("brightness", "contrast", "saturation")]
+        for name, r in ranges:
+            object.__setattr__(self, name, r)
+        check_fields([(f"jitter.{name}", r, len(r) == 2 and 0 < r[0] <= 1 <= r[1],
+                       "must be a positive interval containing 1") for name, r in ranges])
 
     def to_dict(self):
         return {"brightness": list(self.brightness), "contrast": list(self.contrast),
@@ -87,18 +89,15 @@ class AugmentationSpec:
     def __post_init__(self):
         object.__setattr__(self, "mean", tuple(self.mean))
         object.__setattr__(self, "std", tuple(self.std))
-        if self.pad < 0:
-            raise ValueError(f"pad must be >= 0, got {self.pad}")
-        if self.crop_size < 1:
-            raise ValueError(f"crop_size must be >= 1, got {self.crop_size}")
-        if not (0.0 <= self.hflip_prob <= 1.0):
-            raise ValueError(f"hflip_prob must be in [0,1], got {self.hflip_prob}")
-        if len(self.mean) != 3 or len(self.std) != 3:
-            raise ValueError("mean and std must have 3 components")
-        if any(s <= 0 for s in self.std):
-            raise ValueError(f"std components must be > 0, got {self.std}")
-        if self.routing not in ROUTINGS:
-            raise ValueError(f"routing must be one of {ROUTINGS}, got {self.routing!r}")
+        check_fields([
+            ("pad", self.pad, self.pad >= 0, "must be >= 0"),
+            ("crop_size", self.crop_size, self.crop_size >= 1, "must be >= 1"),
+            ("hflip_prob", self.hflip_prob, 0.0 <= self.hflip_prob <= 1.0, "must be in [0,1]"),
+            ("normalize.mean", self.mean, len(self.mean) == 3, "must have 3 components"),
+            ("normalize.std", self.std, len(self.std) == 3 and all(s > 0 for s in self.std),
+             "must have 3 components > 0"),
+            ("routing", self.routing, self.routing in ROUTINGS, f"must be one of {ROUTINGS}"),
+        ])
 
     def check_crop(self, image_size):
         """Raise unless the crop fits an image of ``image_size`` padded by ``pad``."""
@@ -214,36 +213,11 @@ def synthetic_dataset(classes, samples, size, seed, noise=0.05):
     sigma = max(size / 6.0, 1.0)
     ys, xs = np.mgrid[0:size, 0:size].astype(np.float32)
     labels = (np.arange(samples) % classes).astype(np.int64)
-    pixels = np.empty((samples, 3, size, size), dtype=np.float32)
-    for i, c in enumerate(labels):
-        d2 = (ys - centers[c, 0]) ** 2 + (xs - centers[c, 1]) ** 2
-        bump = np.exp(-d2 / (2 * sigma * sigma))
-        img = colors[c][:, None, None] * bump[None]
-        img = img + rng.normal(0.0, noise, size=img.shape)
-        pixels[i] = np.clip(img, 0.0, 1.0)
-    return ImageBatch(pixels, labels)
-
-
-def pad_random_crop(images, pad, size, rng=None, offsets=None):
-    """Zero-pad by ``pad`` on all sides, then take a random size x size window.
-
-    ``offsets`` (per-image (row, col) pairs) overrides the random draw; two
-    uniform draws per image are consumed when it is None.
-    """
-    images = np.asarray(images)
-    b, c, h, w = images.shape
-    if size > h + 2 * pad or size > w + 2 * pad:
-        raise ValueError(f"crop size {size} exceeds padded extent {(h + 2 * pad, w + 2 * pad)}")
-    padded = np.pad(images, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    max_r = h + 2 * pad - size
-    max_c = w + 2 * pad - size
-    if offsets is None:
-        offsets = np.stack([rng.integers(0, max_r + 1, size=b),
-                            rng.integers(0, max_c + 1, size=b)], axis=1)
-    out = np.empty((b, c, size, size), dtype=images.dtype)
-    for i, (r, col) in enumerate(np.asarray(offsets)):
-        out[i] = padded[i, :, r:r + size, col:col + size]
-    return out
+    d2 = (ys - centers[:, :1, None]) ** 2 + (xs - centers[:, 1:, None]) ** 2
+    bumps = colors[:, :, None, None] * np.exp(-d2 / (2 * sigma * sigma))[:, None]
+    # one draw over all images takes each image's noise in image order
+    img = bumps[labels] + rng.normal(0.0, noise, size=(samples, 3, size, size))
+    return ImageBatch(np.clip(img, 0.0, 1.0, out=img), labels)
 
 
 def _luma(img):
@@ -303,7 +277,9 @@ def sample_rng(seed, epoch, index):
 def make_pod_inputs(pixels, spec, k, epoch=0, indices=None, train=True):
     """Produce the k per-pod input arrays for one batch.
 
-    Geometry (crop, flip) is always shared across pods. Routing sets how many
+    The batch is zero-padded by ``pad`` once; each sample's stream draws its
+    crop row, crop column and flip, and its crop is a window of the padded
+    batch. Geometry is always shared across pods. Routing sets how many
     photometric jitter draws each sample takes after its crop and flip:
     ``identical`` (or no jitter spec) none, ``shared-jitter`` one for all
     pods, ``per-pod-jitter`` one per pod. Eval mode (train=False) normalizes
@@ -312,7 +288,7 @@ def make_pod_inputs(pixels, spec, k, epoch=0, indices=None, train=True):
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     pixels = np.asarray(pixels, dtype=np.float32)
-    b = pixels.shape[0]
+    b, _, h, w = pixels.shape
     if indices is None:
         indices = np.arange(b)
 
@@ -321,12 +297,16 @@ def make_pod_inputs(pixels, spec, k, epoch=0, indices=None, train=True):
         out.flags.writeable = False
         return [out] * k
 
+    spec.check_crop(min(h, w))
+    p, s = spec.pad, spec.crop_size
+    padded = np.pad(pixels, ((0, 0), (0, 0), (p, p), (p, p)))
     draws = 0 if spec.routing == "identical" or spec.jitter is None else (
         1 if spec.routing == "shared-jitter" else k)
-    views = np.empty((k, b, 3, spec.crop_size, spec.crop_size), dtype=np.float32)
+    views = np.empty((k, b, 3, s, s), dtype=np.float32)
     for i in range(b):
         rng = sample_rng(spec.seed, epoch, indices[i])
-        img = pad_random_crop(pixels[i:i + 1], spec.pad, spec.crop_size, rng=rng)[0]
+        r, c = rng.integers(0, h + 2 * p - s + 1), rng.integers(0, w + 2 * p - s + 1)
+        img = padded[i, :, r:r + s, c:c + s]
         if rng.random() < spec.hflip_prob:
             img = img[..., ::-1]
         # one draw broadcasts to every pod; k draws give each pod its own

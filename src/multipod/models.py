@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .checks import check_fields
 
 CIFAR_FAMILY = "resnet-cifar"
 IMAGENET_FAMILY = "resnet-imagenet"
@@ -37,10 +38,8 @@ class PodBaseSpec:
     n: int
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"unsupported depth parameter n={self.n!r}")
+        check_fields([("family", self.family, self.family in FAMILIES, f"must be one of {FAMILIES}"),
+                      ("n", self.n, isinstance(self.n, int) and self.n >= 1, "must be an int >= 1")])
 
     @property
     def stage_widths(self):
@@ -71,20 +70,18 @@ class MultiPodSpec:
     seeds: tuple = None
 
     def __post_init__(self):
-        if not isinstance(self.pods, int) or self.pods < 1:
-            raise ValueError(f"pods must be >= 1, got {self.pods!r}")
-        seeds = range(self.pods) if self.seeds is None else self.seeds
+        pods_ok = isinstance(self.pods, int) and self.pods >= 1
+        seeds = range(self.pods if pods_ok else 0) if self.seeds is None else self.seeds
         object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
-        if self.fusion not in FUSIONS:
-            raise ValueError(f"unknown fusion {self.fusion!r}")
-        if self.combine_mode not in COMBINE_MODES:
-            raise ValueError(f"unknown combine mode {self.combine_mode!r}")
-        if self.classes < 2:
-            raise ValueError(f"classes must be >= 2, got {self.classes}")
-        if len(self.seeds) != self.pods:
-            raise ValueError(f"need {self.pods} seeds, got {len(self.seeds)}")
-        if len(set(self.seeds)) != self.pods:
-            raise ValueError(f"pod seeds must be pairwise distinct, got {self.seeds}")
+        check_fields([
+            ("pods", self.pods, pods_ok, "must be an int >= 1"),
+            ("fusion", self.fusion, self.fusion in FUSIONS, f"must be one of {FUSIONS}"),
+            ("combine_mode", self.combine_mode, self.combine_mode in COMBINE_MODES,
+             f"must be one of {COMBINE_MODES}"),
+            ("classes", self.classes, self.classes >= 2, "must be >= 2"),
+            ("seeds", self.seeds, not pods_ok or len(set(self.seeds)) == len(self.seeds) == self.pods,
+             f"must be {self.pods} pairwise distinct seeds"),
+        ])
 
     def to_dict(self):
         return {

@@ -42,6 +42,8 @@ import math
 import numpy as np
 
 FLOAT_DTYPES = (np.float32, np.float64)
+BN_MOMENTUM = 0.1  # the running statistics' update rate
+BN_EPS = 1e-5  # added to the batch variance before its square root
 
 
 class ShapeError(ValueError):
@@ -537,19 +539,17 @@ class BNBuffers:
         self.initialized = False
 
 
-def batch_norm2d(x, gamma, beta, buffers, training, momentum=0.1, eps=1e-5):
+def batch_norm2d(x, gamma, beta, buffers, training):
     """Per-channel batch normalization of a B x C x H x W tensor.
 
     Training mode normalizes with batch statistics over (B, H, W) and
     updates the running buffers in place as
-    ``running <- (1 - momentum) * running + momentum * batch`` (running
-    variance uses the unbiased batch estimate). Eval mode normalizes with
+    ``running <- (1 - BN_MOMENTUM) * running + BN_MOMENTUM * batch``
+    (running variance uses the unbiased batch estimate). Eval mode normalizes with
     the running statistics. Output is ``gamma * normalized + beta``. With a
     leading replica axis (on x, gamma or beta) each replica takes its own
     batch statistics and the running buffers are left alone.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
     if x.data.ndim not in (4, 5):
         raise ShapeError(f"batch norm expects B x C x H x W input, got {x.data.shape}")
     b, c, h, w = x.data.shape[-4:]
@@ -568,8 +568,9 @@ def batch_norm2d(x, gamma, beta, buffers, training, momentum=0.1, eps=1e-5):
         var = np.square(out).sum(axis=axes, keepdims=True)
         np.true_divide(var, np.intp(n), out=var, casting="unsafe")
         if not leading:
-            buffers.mean = (1.0 - momentum) * buffers.mean + momentum * mean.reshape(c)
-            buffers.var = (1.0 - momentum) * buffers.var + momentum * (var.reshape(c) * n / (n - 1))
+            buffers.mean = (1.0 - BN_MOMENTUM) * buffers.mean + BN_MOMENTUM * mean.reshape(c)
+            buffers.var = ((1.0 - BN_MOMENTUM) * buffers.var
+                           + BN_MOMENTUM * (var.reshape(c) * n / (n - 1)))
             buffers.initialized = True
     else:
         if not buffers.initialized:
@@ -579,7 +580,7 @@ def batch_norm2d(x, gamma, beta, buffers, training, momentum=0.1, eps=1e-5):
 
     # gamma * ((x - mean) * inv_std) + beta in the centred buffer, or in a
     # new one where a replicated gamma or beta widens it
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     out *= inv_std
     gamma_c, beta_c = _channels(gamma.data), _channels(beta.data)
     shape = np.broadcast_shapes(out.shape, gamma_c.shape, beta_c.shape)

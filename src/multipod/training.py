@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
+from .checks import check_fields
 from .data import make_pod_inputs
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -46,23 +47,19 @@ class TrainingSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "milestones", tuple(self.milestones))
-        if self.base_lr <= 0:
-            raise ValueError(f"base_lr must be > 0, got {self.base_lr}")
-        if not (0 < self.decay <= 1):
-            raise ValueError(f"decay must be in (0,1], got {self.decay}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (0 <= self.momentum < 1):
-            raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         ms = self.milestones
-        if any(ms[i] >= ms[i + 1] for i in range(len(ms) - 1)):
-            raise ValueError(f"milestones must be strictly increasing, got {ms}")
-        if any(not (0 <= m < self.epochs) for m in ms):
-            raise ValueError(f"milestones must lie in [0, epochs), got {ms}")
+        check_fields([
+            ("base_lr", self.base_lr, self.base_lr > 0, "must be > 0"),
+            ("decay", self.decay, 0 < self.decay <= 1, "must be in (0,1]"),
+            ("epochs", self.epochs, self.epochs >= 1, "must be >= 1"),
+            ("batch_size", self.batch_size, self.batch_size >= 1, "must be >= 1"),
+            ("momentum", self.momentum, 0 <= self.momentum < 1, "must be in [0,1)"),
+            ("weight_decay", self.weight_decay, self.weight_decay >= 0, "must be >= 0"),
+            ("milestones", ms, all(a < b for a, b in zip(ms, ms[1:])), "must be strictly increasing"),
+            # the range rule waits for a valid epochs, which has its own line
+            ("milestones", ms, self.epochs < 1 or all(0 <= m < self.epochs for m in ms),
+             f"must lie in [0, {self.epochs})"),
+        ])
 
     def to_dict(self):
         d = asdict(self)
@@ -240,11 +237,24 @@ class Checkpoint:
                           for name, v in self.momentum.items()}
 
 
+def write_atomically(path, write, mode="w"):
+    """Write ``path`` whole or not at all: ``write(f)`` fills a temporary file
+    beside it, which is then renamed over it. So a write that crashes midway
+    leaves the previous file whole, and a write that raises removes its
+    temporary file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode) as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(ckpt, path):
-    """Write ``ckpt`` to ``path`` atomically: the file is written beside it
-    under a temporary name and renamed over it, so a save that crashes
-    mid-write leaves the previous checkpoint whole. A save that raises
-    removes its temporary file."""
+    """Write ``ckpt`` to ``path`` atomically (see ``write_atomically``)."""
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "spec": ckpt.spec,
@@ -261,16 +271,8 @@ def save_checkpoint(ckpt, path):
     for name, (mean, var, _) in ckpt.buffers.items():
         arrays[f"bnmean/{name}"] = mean
         arrays[f"bnvar/{name}"] = var
-    tmp = f"{path}.tmp"
-    try:
-        # open the handle ourselves so numpy does not append an extension
-        with open(tmp, "wb") as f:
-            np.savez(f, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    # a file handle, so numpy does not append an extension to the name
+    write_atomically(path, lambda f: np.savez(f, **arrays), "wb")
 
 
 def load_checkpoint(path):
@@ -315,10 +317,7 @@ def _truncate_log(path, epoch):
     if epoch > 0 and os.path.exists(path):
         with open(path) as f:
             kept = [line for line in f if line.endswith("\n") and json.loads(line)["epoch"] < epoch]
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
-        f.writelines(kept)
-    os.replace(tmp, path)
+    write_atomically(path, lambda f: f.writelines(kept))
 
 
 @dataclass

@@ -143,6 +143,25 @@ def ten_crop_views_oracle(pixels, size):
     return views
 
 
+def synthetic_pixels_oracle(classes, samples, size, seed, noise=0.05):
+    """The synthetic dataset's pixels, one image at a time: the bump of the
+    image's class, then that image's own noise draw."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    centers = rng.uniform(0.2, 0.8, size=(classes, 2)) * size
+    colors = rng.uniform(0.3, 1.0, size=(classes, 3))
+    sigma = max(size / 6.0, 1.0)
+    ys, xs = np.mgrid[0:size, 0:size].astype(np.float32)
+    pixels = np.empty((samples, 3, size, size), dtype=np.float32)
+    for i in range(samples):
+        c = i % classes
+        d2 = (ys - centers[c, 0]) ** 2 + (xs - centers[c, 1]) ** 2
+        bump = np.exp(-d2 / (2 * sigma * sigma))
+        img = colors[c][:, None, None] * bump[None]
+        img = img + rng.normal(0.0, noise, size=img.shape)
+        pixels[i] = np.clip(img, 0.0, 1.0)
+    return pixels
+
+
 def fd_gradient(f, arr, h=1e-6):
     """Central-difference gradient of scalar-valued f at a float64 array."""
     grad = np.zeros_like(arr)

@@ -199,10 +199,36 @@ class TestTrain:
                 best["eval_top1"], best["eval_top5"], best["epoch"])
         assert (fresh["epochs_run"], resumed["epochs_run"]) == (2, 0)
 
+    def test_failed_summary_write_keeps_previous_summary(self, tmp_path, capsys, monkeypatch):
+        out_dir = tmp_path / "run"
+        cfg = write_config(tmp_path, out_dir=str(out_dir))
+        assert main(["train", "--config", cfg]) == 0
+        before = (out_dir / "summary.json").read_text()
+
+        # a value json cannot encode makes the resumed run's summary write raise
+        monkeypatch.setattr("multipod.cli._machine", lambda: {"nproc": object()})
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            main(["train", "--config", cfg, "--resume"])
+        assert (out_dir / "summary.json").read_text() == before
+        assert not [p.name for p in out_dir.iterdir() if p.name.endswith(".tmp")]
+
     def test_invalid_config_reports_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"augmentation.routing": "alternating"})
         assert main(["train", "--config", cfg]) == 2
         assert "routing" in capsys.readouterr().err
+
+    def test_every_bad_field_is_reported_by_path(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"schedule.epochs": 0, "schedule.batch_size": 0,
+                                        "augmentation.pad": -1, "augmentation.crop_size": 0,
+                                        "augmentation.routing": "alternating"})
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        for line in ("schedule.epochs: must be >= 1, got 0",
+                     "schedule.batch_size: must be >= 1, got 0",
+                     "augmentation.pad: must be >= 0, got -1",
+                     "augmentation.crop_size: must be >= 1, got 0",
+                     "augmentation.routing: must be one of"):
+            assert line in err
 
     def test_unknown_keys_reported_by_path(self, tmp_path, capsys):
         doc = toy_config_doc(**{"schedule.epoch": 5, "augmentation.hflip": 0.5,
@@ -224,7 +250,7 @@ class TestTrain:
         assert parse_config(cfg.to_dict()).to_dict() == cfg.to_dict()
 
     def test_misspelt_family_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="model: unknown family 'resnet-cfar'"):
+        with pytest.raises(ConfigError, match="model.family: .*got 'resnet-cfar'"):
             parse_config(toy_config_doc(**{"model.family": "resnet-cfar"}))
 
     def test_cifar10_crop_larger_than_padded_image_leaves_nothing(self, tmp_path, capsys):

@@ -3,8 +3,8 @@ import pytest
 
 from multipod.data import (AugmentationSpec, CIFAR10_MEAN, CIFAR10_STD, DataError,
                            ImageBatch, JitterSpec, color_jitter, load_cifar10,
-                           make_pod_inputs, normalize, pad_random_crop, sample_rng,
-                           synthetic_dataset)
+                           make_pod_inputs, normalize, sample_rng, synthetic_dataset)
+from oracles import synthetic_pixels_oracle
 
 RECORD = 3073
 
@@ -94,38 +94,19 @@ class TestSynthetic:
         mean1 = data.pixels[data.labels == 1].mean(axis=0)
         assert np.abs(mean0 - mean1).max() > 0.05
 
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    @pytest.mark.parametrize("classes,samples,size,seed", [(4, 16, 16, 3), (3, 7, 8, 0),
+                                                           (10, 40, 32, 11)])
+    def test_matches_per_image_oracle(self, classes, samples, size, seed, noise):
+        data = synthetic_dataset(classes, samples, size, seed, noise=noise)
+        assert np.array_equal(data.pixels,
+                              synthetic_pixels_oracle(classes, samples, size, seed, noise))
+
     def test_argument_guards(self):
         with pytest.raises(ValueError):
             synthetic_dataset(1, 8, 8, seed=0)
         with pytest.raises(ValueError):
             synthetic_dataset(4, 3, 8, seed=0)
-
-
-class TestPadRandomCrop:
-    def test_centered_offset_is_identity(self, rng):
-        x = rng.random((2, 3, 8, 8), dtype=np.float32)
-        out = pad_random_crop(x, 4, 8, offsets=[(4, 4), (4, 4)])
-        assert np.array_equal(out, x)
-
-    def test_no_padding_full_crop_is_identity(self, rng):
-        x = rng.random((1, 3, 6, 6), dtype=np.float32)
-        assert np.array_equal(pad_random_crop(x, 0, 6, offsets=[(0, 0)]), x)
-
-    def test_corner_offset_shows_zero_band(self, rng):
-        x = rng.random((1, 3, 8, 8), dtype=np.float32) + 0.5
-        out = pad_random_crop(x, 4, 8, offsets=[(0, 0)])
-        assert np.all(out[:, :, :4, :] == 0.0)
-        assert np.all(out[:, :, :, :4] == 0.0)
-        assert np.array_equal(out[:, :, 4:, 4:], x[:, :, :4, :4])
-
-    def test_random_offsets_stay_in_bounds(self, rng):
-        x = rng.random((64, 3, 8, 8), dtype=np.float32)
-        out = pad_random_crop(x, 2, 8, rng=np.random.default_rng(0))
-        assert out.shape == (64, 3, 8, 8)
-
-    def test_oversized_crop_rejected(self, rng):
-        with pytest.raises(ValueError):
-            pad_random_crop(np.zeros((1, 3, 8, 8)), 1, 11)
 
 
 class TestColorJitter:
@@ -327,6 +308,29 @@ class TestMakePodInputs:
         pods = make_pod_inputs(px, plain_spec(pad=0, hflip_prob=1.0), 2)
         for p in pods:
             assert np.array_equal(p, px[..., ::-1])
+
+    def test_views_are_windows_of_the_zero_padded_image(self, rng):
+        pad, size = 2, 8
+        x = rng.random((64, 3, size, size), dtype=np.float32) + 0.5  # no zero pixel
+        (view,) = make_pod_inputs(x, plain_spec(pad=pad, crop_size=size, hflip_prob=0.0), 1)
+        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        offsets = []
+        for i in range(len(x)):
+            found = [(r, c) for r in range(2 * pad + 1) for c in range(2 * pad + 1)
+                     if np.array_equal(view[i], padded[i, :, r:r + size, c:c + size])]
+            assert found, f"view {i} is no window of its padded image"
+            offsets.append(found[0])
+        # the batch shows the zero band and offsets strictly inside the range
+        assert (view == 0.0).any()
+        assert any(0 < r < 2 * pad and 0 < c < 2 * pad for r, c in offsets)
+
+    @pytest.mark.parametrize("shape", [(1, 3, 8, 8), (2, 3, 8, 12), (2, 3, 12, 8)])
+    def test_oversized_crop_rejected(self, shape):
+        # the short side bounds the crop: 8 + 2 * 1 = 10 < 11
+        with pytest.raises(ValueError, match="crop_size: 11 exceeds padded image size 10"):
+            make_pod_inputs(np.zeros(shape), plain_spec(pad=1, crop_size=11), 2)
+        assert make_pod_inputs(np.zeros(shape), plain_spec(pad=1, crop_size=10), 2)[0].shape == (
+            shape[0], 3, 10, 10)
 
     def test_train_flip_prob_zero_is_identity(self):
         px = small_batch()
