@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_fields
+from .checks import INTEGER, NUMBER, OBJECT, check_fields, converted
 
 CIFAR10_MEAN = (0.4914, 0.4822, 0.4465)
 CIFAR10_STD = (0.2023, 0.1994, 0.2010)
@@ -118,9 +118,9 @@ class AugmentationSpec:
 
     @staticmethod
     def from_dict(d):
-        norm = d.get("normalize", {})
-        fields = {k: f(d[k]) for k, f in (("pad", int), ("crop_size", int), ("hflip_prob", float),
-                                           ("seed", int)) if k in d}
+        fields = converted(d, {"pad": INTEGER, "crop_size": INTEGER, "hflip_prob": NUMBER,
+                               "seed": INTEGER, "normalize": OBJECT})
+        norm = fields.pop("normalize", {})
         fields.update({k: norm[k] for k in ("mean", "std") if k in norm})
         if "routing" in d:
             fields["routing"] = d["routing"]

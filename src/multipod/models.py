@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .checks import check_fields
+from .checks import INTEGER, INTEGERS, check_fields, converted
 
 CIFAR_FAMILY = "resnet-cifar"
 IMAGENET_FAMILY = "resnet-imagenet"
@@ -96,8 +96,10 @@ class MultiPodSpec:
 
     @staticmethod
     def from_dict(d):
-        return MultiPodSpec(base=PodBaseSpec(d["family"], d["n"]), pods=int(d["pods"]),
-                            classes=int(d["classes"]), seeds=tuple(d["seeds"]),
+        base = PodBaseSpec(d["family"], d["n"])
+        fields = converted({k: d[k] for k in ("pods", "classes", "seeds")},
+                           {"pods": INTEGER, "classes": INTEGER, "seeds": INTEGERS})
+        return MultiPodSpec(base=base, **fields,
                             **{k: d[k] for k in ("fusion", "combine_mode") if k in d})
 
 

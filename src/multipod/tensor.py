@@ -32,12 +32,26 @@ leaves its running buffers alone, and cross-entropy gives one loss per
 replica. The backward closures of conv, batch norm, the heads and the loss
 assume no leading axis, so ``_result`` refuses to record a graph through
 one (``StateError``).
+
+Threads: every op, backward closure and ``Tensor.backward`` runs on the
+thread that calls it. Only ``conv2d`` uses more than one, inside each of
+its passes: it splits the images into contiguous ranges of whole unfold
+chunks, one per usable core and at least two chunks each, runs the first
+range on the calling thread
+and the others on a module-level pool of cores - 1 threads, and returns
+once every range has finished. Each range unfolds into its own buffers and
+writes its own slice of the output; the weight gradient's per-chunk
+partials are summed on the calling thread in chunk order, so the bits do
+not depend on the number of cores. Pool work never calls back into an op,
+so calls never nest.
 """
 
 from __future__ import annotations
 
 import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -292,6 +306,41 @@ def _conv_extent(x_shape, w_shape, stride, padding):
 # still in cache when its GEMM reads it.
 _CONV_CHUNK_BYTES = 1 << 20
 
+# Conv splits its chunks into one contiguous range per usable core; the
+# calling thread runs the first range and this pool the others. Threads are
+# started on first use.
+_CORES = len(os.sched_getaffinity(0))
+
+
+def _start_pool():
+    global _POOL
+    _POOL = ThreadPoolExecutor(max(1, _CORES - 1), thread_name_prefix="conv2d")
+
+
+_start_pool()
+# A forked child inherits the pool but none of its threads, and would wait
+# on it forever: it starts a pool of its own.
+os.register_at_fork(after_in_child=_start_pool)
+
+
+def _in_ranges(b, n, work):
+    # [work(lo, hi)] over contiguous ranges lo:hi of the b images, each
+    # whole n-image chunks but the last, one range per core but at least
+    # two chunks per range: on a 2-core VM a pass of two or three chunks
+    # ran 0.84-0.98x on two threads, its hand-over costing more than it
+    # saved. An exception is raised only once every range has finished.
+    chunks = -(-b // n)
+    parts = min(_CORES, chunks // 2)
+    if parts <= 1:
+        return [work(0, b)]
+    bounds = [min(b, n * (i * chunks // parts)) for i in range(parts + 1)]
+    futures = [_POOL.submit(work, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        first = work(bounds[0], bounds[1])
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
+
 
 def _placed(count, offset, spacing, size):
     # (source, frame) slices along one axis: sample i sits at offset +
@@ -301,50 +350,59 @@ def _placed(count, offset, spacing, size):
     return slice(lo, hi), slice(offset + spacing * lo, offset + spacing * hi, spacing)
 
 
-def _unfolded(x, kh, kw, stride, out_h, out_w, offsets, spacing=1):
-    # Yield (lo, hi, col) over chunks of the images of x (..., B, C, H, W),
-    # col (..., hi - lo, C*kH*kW, outH*outW) being images lo:hi unfolded.
-    # A chunk is unfolded from a zero frame of the extent the taps read,
-    # holding its samples ``spacing`` cells apart from ``offsets`` (top,
-    # left) on: spacing 1 frames a padded image, spacing s the stride-s
-    # upsampling that a strided conv's adjoint convolves. The buffers are
-    # reused: col is valid until the next step.
+def _each_chunk(step, x, kh, kw, stride, out_h, out_w, offsets, spacing=1):
+    # [step(lo, hi, col)] in chunk order over chunks of the images of x
+    # (..., B, C, H, W), col (..., hi - lo, C*kH*kW, outH*outW) being images
+    # lo:hi unfolded. A chunk is unfolded from a zero frame of the extent
+    # the taps read, holding its samples ``spacing`` cells apart from
+    # ``offsets`` (top, left) on: spacing 1 frames a padded image, spacing
+    # s the stride-s upsampling that a strided conv's adjoint convolves.
+    # Each range of chunks (``_in_ranges``) reuses its own buffers: col is
+    # valid until step returns.
+    x = np.ascontiguousarray(x)  # each chunk is a strided view of its buffer
     *lead, b, c, h, w = x.shape
     n = min(b, max(1, _CONV_CHUNK_BYTES // (
         math.prod(lead) * c * kh * kw * out_h * out_w * x.itemsize)))
     rows, cols = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
-    frame = None
-    if spacing != 1 or any(offsets):
+    framed = spacing != 1 or any(offsets)
+    if framed:
         src_h, dst_h = _placed(h, offsets[0], spacing, rows + kh - 1)
         src_w, dst_w = _placed(w, offsets[1], spacing, cols + kw - 1)
-        # the zeros are written once; each chunk overwrites the same samples
-        frame = np.zeros((*lead, n, c, rows + kh - 1, cols + kw - 1), x.dtype)
-    col = np.empty((*lead, n, c, kh, kw, out_h, out_w), x.dtype)
-    for lo in range(0, b, n):
-        m = min(n, b - lo)
-        src = x[..., lo:lo + m, :, :, :]
-        if frame is not None:
-            frame[..., :m, :, dst_h, dst_w] = src[..., src_h, src_w]
-            src = frame[..., :m, :, :, :]
-        chunk = col[..., :m, :, :, :, :, :]
-        # one strided slice copy per kernel tap, each moving whole output
-        # rows along the width
-        for i in range(kh):
-            for j in range(kw):
-                chunk[..., i, j, :, :] = src[..., i:i + rows:stride, j:j + cols:stride]
-        yield lo, lo + m, chunk.reshape(*lead, m, c * kh * kw, out_h * out_w)
+
+    def run(lo, hi):
+        if framed:
+            # the zeros are written once; each chunk overwrites the same samples
+            frame = np.zeros((*lead, n, c, rows + kh - 1, cols + kw - 1), x.dtype)
+        col = np.empty((*lead, n, c, kh, kw, out_h, out_w), x.dtype)
+        done = []
+        for a in range(lo, hi, n):
+            m = min(n, hi - a)
+            src, start = x, a * x.strides[-4]
+            if framed:
+                frame[..., :m, :, dst_h, dst_w] = x[..., a:a + m, :, src_h, src_w]
+                src, start = frame, 0
+            chunk = col[..., :m, :, :, :, :, :]
+            # one copy of a view of images a:a + m whose last four axes step
+            # through the taps and the output positions
+            *_, sh, sw = src.strides
+            chunk[...] = np.ndarray(chunk.shape, src.dtype, src, start,
+                                    src.strides + (stride * sh, stride * sw))
+            done.append(step(a, a + m, chunk.reshape(*lead, m, c * kh * kw, out_h * out_w)))
+        return done
+
+    return [r for part in _in_ranges(b, n, run) for r in part]
 
 
 def _conv_forward(x, w_mat, kh, kw, stride, out_h, out_w, offsets, spacing=1):
-    # x (..., B, C, H, W), framed as ``_unfolded`` frames it, cross-correlated
+    # x (..., B, C, H, W), framed as ``_each_chunk`` frames it, cross-correlated
     # with w_mat (..., F, C*kH*kW): one GEMM per image, and per replica,
     # written straight into the NCHW output (..., B, F, outH, outW).
     lead = np.broadcast_shapes(x.shape[:-4], w_mat.shape[:-2])
     b, f = x.shape[-4], w_mat.shape[-2]
     out = np.empty((*lead, b, f, out_h * out_w), np.result_type(x, w_mat))
     w_mat = w_mat[..., None, :, :]
-    for lo, hi, col in _unfolded(x, kh, kw, stride, out_h, out_w, offsets, spacing):
-        np.matmul(w_mat, col, out=out[..., lo:hi, :, :])
+    _each_chunk(lambda lo, hi, col: np.matmul(w_mat, col, out=out[..., lo:hi, :, :]),
+                x, kh, kw, stride, out_h, out_w, offsets, spacing)
     return out.reshape(*lead, b, f, out_h, out_w)
 
 
@@ -389,9 +447,10 @@ def conv2d(x, weight, stride=1, padding=0):
     def backward(g):
         if weight.requires_grad:
             g_mat = g.reshape(g.shape[0], g.shape[1], -1)
-            dw = sum(np.matmul(g_mat[lo:hi], col.swapaxes(-1, -2)).sum(axis=0)
-                     for lo, hi, col in _unfolded(x.data, kh, kw, stride, out_h, out_w,
-                                                  (padding, padding)))
+            # the per-chunk partials, summed here in chunk order
+            dw = sum(_each_chunk(
+                lambda lo, hi, col: np.matmul(g_mat[lo:hi], col.swapaxes(-1, -2)).sum(axis=0),
+                x.data, kh, kw, stride, out_h, out_w, (padding, padding)))
             _accumulate(weight, dw.reshape(weight.data.shape), owned=True)
         if x.requires_grad:
             _accumulate(x, _conv_input_grad(g, weight.data, x.data.shape, stride, padding),

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .checks import check_fields
+from .checks import INTEGER, INTEGERS, NUMBER, check_fields, converted
 from .data import make_pod_inputs
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -68,10 +68,9 @@ class TrainingSchedule:
 
     @staticmethod
     def from_dict(d):
-        convert = {"base_lr": float, "milestones": lambda ms: tuple(int(m) for m in ms),
-                   "decay": float, "epochs": int, "batch_size": int, "momentum": float,
-                   "weight_decay": float}
-        return TrainingSchedule(**{k: f(d[k]) for k, f in convert.items() if k in d})
+        return TrainingSchedule(**converted(d, {
+            "base_lr": NUMBER, "milestones": INTEGERS, "decay": NUMBER, "epochs": INTEGER,
+            "batch_size": INTEGER, "momentum": NUMBER, "weight_decay": NUMBER}))
 
 
 def lr_at_epoch(schedule, epoch):

@@ -1,8 +1,10 @@
 import os
 
-# One BLAS thread: the suite's GEMMs are too small for a second thread to
-# pay for itself, and it would only burn a core other work could use. Set
-# before numpy is first imported, which is when OpenBLAS reads it.
+# One BLAS thread, as the package itself sets by default: conv2d already
+# runs one range of images per core on its own threads, so a second BLAS
+# thread per GEMM only contends with them. Set before numpy is first
+# imported (this file loads before the package), which is when OpenBLAS
+# reads it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 

@@ -253,6 +253,26 @@ class TestTrain:
         with pytest.raises(ConfigError, match="model.family: .*got 'resnet-cfar'"):
             parse_config(toy_config_doc(**{"model.family": "resnet-cfar"}))
 
+    def test_normalize_that_is_not_an_object_is_a_config_error(self):
+        norm = [[0.5, 0.5, 0.5], [0.25, 0.25, 0.25]]
+        with pytest.raises(ConfigError, match=r"augmentation.normalize: must be an object, got \[\["):
+            parse_config(toy_config_doc(**{"augmentation.normalize": norm}))
+
+    def test_fractional_integer_fields_are_config_errors(self):
+        # int() would truncate each of these without a word
+        with pytest.raises(ConfigError) as e:
+            parse_config(toy_config_doc(**{"augmentation.pad": 2.5, "schedule.epochs": 2.7,
+                                           "schedule.milestones": [0.5], "model.pods": 2.5}))
+        for line in ("augmentation.pad: must be an integer, got 2.5",
+                     "schedule.epochs: must be an integer, got 2.7",
+                     "schedule.milestones: must be a list of integers, got [0.5]",
+                     "model.pods: must be an integer, got 2.5"):
+            assert line in str(e.value)
+        assert "must lie in" not in str(e.value)
+        # an integral number is still an integer
+        cfg = parse_config(toy_config_doc(**{"augmentation.pad": 2.0, "schedule.epochs": 3.0}))
+        assert (cfg.augmentation.pad, cfg.schedule.epochs) == (2, 3)
+
     def test_cifar10_crop_larger_than_padded_image_leaves_nothing(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
         data_dir = tmp_path / "data"
@@ -437,3 +457,20 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "817402"
+
+
+@pytest.mark.parametrize("preset,want", [(None, "1"), ("2", "2")])
+def test_package_pins_blas_unless_the_caller_did(tmp_path, preset, want):
+    # a fresh process with neither variable set runs BLAS on one thread; a
+    # caller's setting wins
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out_dir = tmp_path / "run"
+    cfg = write_config(tmp_path, out_dir=str(out_dir), **{"schedule.epochs": 1})
+    proc = subprocess.run([sys.executable, "-m", "multipod", "train", "--config", cfg],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["machine"]["blas_threads"] == want

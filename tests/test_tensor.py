@@ -1,6 +1,8 @@
 import gc
 import itertools
+import multiprocessing
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import multipod.tensor as T
+import multipod.training as training
+from multipod.data import AugmentationSpec, synthetic_dataset
 from multipod.models import APPROACH1, MultiPodSpec, build_multipod, resnet_cifar
 from oracles import (batch_norm2d_exprs, batch_norm_train_oracle, concat, conv2d_oracle,
                      fd_gradient, max_pool_oracle, relu_where, softmax_oracle,
@@ -294,6 +298,137 @@ class TestConvChunks:
         value = lambda: float(loss().data)
         assert_grad_close(fd_gradient(value, x.data), x.grad)
         assert_grad_close(fd_gradient(value, w.data), w.grad)
+
+
+def count_submits(monkeypatch):
+    # the number of ranges conv2d hands to its pool from here on
+    submitted = []
+    submit = T._POOL.submit
+    monkeypatch.setattr(T._POOL, "submit", lambda *a: submitted.append(a) or submit(*a))
+    return submitted
+
+
+class TestConvSplit:
+    """conv2d runs its chunks as one range per core, of two chunks or more;
+    the split must not change a bit. Over two ranges, 5 images in chunks of
+    1 run as 1 + 1 | 1 + 1 + 1 and 7 in chunks of 2 as 2 + 2 | 2 + 1."""
+
+    C, H = 3, 7
+
+    def passes(self, rng, b, per_chunk, s, monkeypatch, cores):
+        # forward, dx and dW of one conv over b images with the split forced
+        # to ``cores`` ranges: forward and dW in chunks of ``per_chunk``
+        # images, dx (a conv onto H x H) in the same chunks at stride 1 and
+        # in chunks of 1 at stride 2
+        monkeypatch.setattr(T, "_CORES", cores)
+        out = (self.H - 1) // s + 1
+        monkeypatch.setattr(T, "_CONV_CHUNK_BYTES", per_chunk * col_bytes(self.C, 3, out))
+        x = t64(rng.normal(size=(b, self.C, self.H, self.H)), requires_grad=True)
+        w = t64(rng.normal(size=(self.C, self.C, 3, 3)), requires_grad=True)
+        out = T.conv2d(x, w, stride=s, padding=1)
+        out._backward(rng.normal(size=out.shape))
+        return out.data, x.grad, w.grad
+
+    @pytest.mark.parametrize("b,per_chunk", [(5, 1), (7, 2)])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_two_ranges_give_the_bits_of_one(self, monkeypatch, b, per_chunk, s):
+        submitted = count_submits(monkeypatch)
+        split = self.passes(np.random.default_rng(b), b, per_chunk, s, monkeypatch, cores=2)
+        assert len(submitted) == 3  # a worker ran a range of each pass
+        whole = self.passes(np.random.default_rng(b), b, per_chunk, s, monkeypatch, cores=1)
+        for got, want in zip(split, whole):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("b", [5, 7])
+    def test_replicas_split_with_the_bits_of_one_range(self, rng, monkeypatch, b):
+        r = 3
+        x = rng.normal(size=(r, b, self.C, self.H, self.H))
+        w = rng.normal(size=(r, 4, self.C, 3, 3))
+        monkeypatch.setattr(T, "_CONV_CHUNK_BYTES", col_bytes(self.C, 3, self.H, r))
+        conv = lambda: T.conv2d(t64(x), t64(w), stride=1, padding=1).data
+        submitted = count_submits(monkeypatch)
+        with T.no_grad():
+            monkeypatch.setattr(T, "_CORES", 2)
+            split = conv()
+            assert submitted
+            monkeypatch.setattr(T, "_CORES", 1)
+            assert np.array_equal(split, conv())
+
+    @pytest.mark.parametrize("chunks,ranges", [(3, [(0, 3)]), (4, [(0, 2), (2, 4)]),
+                                               (5, [(0, 2), (2, 5)])])
+    def test_each_range_takes_two_chunks_or_more(self, monkeypatch, chunks, ranges):
+        monkeypatch.setattr(T, "_CORES", 2)
+        assert T._in_ranges(chunks, 1, lambda lo, hi: (lo, hi)) == ranges
+
+    @pytest.mark.parametrize("failing", [0, 2])
+    def test_a_failing_range_raises_after_every_range_finishes(self, monkeypatch, failing):
+        # three ranges of two one-image chunks: the caller's (lo 0) and two
+        # on the pool
+        monkeypatch.setattr(T, "_CORES", 3)
+        finished = []
+
+        def work(lo, hi):
+            if lo == failing:
+                raise RuntimeError(f"range {lo}")
+            time.sleep(0.05)
+            finished.append(lo)
+
+        with pytest.raises(RuntimeError, match=f"range {failing}"):
+            T._in_ranges(6, 1, work)
+        assert sorted(finished) == [lo for lo in (0, 2, 4) if lo != failing]
+
+    def test_a_forked_child_runs_conv(self, monkeypatch):
+        # the child inherits the pool's queue but none of its threads
+        monkeypatch.setattr(T, "_CORES", 2)
+        monkeypatch.setattr(T, "_CONV_CHUNK_BYTES", 1)
+        x, w = t64(np.ones((4, 1, 4, 4))), t64(np.ones((1, 1, 3, 3)))
+        submitted = count_submits(monkeypatch)
+        T.conv2d(x, w)
+        assert submitted  # the pool has a thread running
+        child = multiprocessing.get_context("fork").Process(target=T.conv2d, args=(x, w))
+        child.start()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+
+    def test_ops_run_on_the_calling_thread_during_training(self, monkeypatch):
+        # perfbench's tracer keeps one span stack, sound only while every
+        # op, backward closure, Tensor.backward and make_pod_inputs runs on
+        # the thread that called train()
+        threads = []
+
+        def on_caller(name, fn):
+            def call(*args, **kwargs):
+                threads.append((name, threading.get_ident()))
+                out = fn(*args, **kwargs)
+                if isinstance(out, T.Tensor) and out._backward is not None:
+                    out._backward = on_caller(name + ".backward", out._backward)
+                return out
+            return call
+
+        for op in ("conv2d", "batch_norm2d", "relu", "add", "linear", "global_avg_pool",
+                   "max_pool2d", "concat_linear", "elementwise_scale_combine",
+                   "softmax_cross_entropy"):
+            monkeypatch.setattr(T, op, on_caller(op, getattr(T, op)))
+        monkeypatch.setattr(T.Tensor, "backward", on_caller("backward", T.Tensor.backward))
+        monkeypatch.setattr(training, "make_pod_inputs",
+                            on_caller("make_pod_inputs", training.make_pod_inputs))
+        # one image per chunk, so every conv pass hands ranges to the pool
+        monkeypatch.setattr(T, "_CORES", 2)
+        monkeypatch.setattr(T, "_CONV_CHUNK_BYTES", 1)
+        submitted = count_submits(monkeypatch)
+
+        data = synthetic_dataset(3, 8, 8, seed=0)
+        model = build_multipod(MultiPodSpec(pods=2, base=resnet_cifar(1), classes=3))
+        schedule = training.TrainingSchedule(base_lr=0.05, milestones=(), epochs=1, batch_size=4)
+        training.train(model, data, data, schedule,
+                       AugmentationSpec(pad=1, crop_size=8, routing="per-pod-jitter"))
+        names = {name for name, _ in threads}
+        assert {"conv2d", "conv2d.backward", "backward", "make_pod_inputs"} <= names
+        assert submitted
+        assert {ident for _, ident in threads} == {threading.get_ident()}
 
 
 class TestMaxPool:
