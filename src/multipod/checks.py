@@ -1,57 +1,88 @@
-"""Field rules for the spec dataclasses: each spec states its rules as one
-table, and an invalid spec names every failing field at once, by its path
-within the spec's config section (``normalize.std``, ``jitter.contrast``).
-The ``from_dict`` conversions from a config section name each value they
-cannot convert the same way."""
+"""Config values converted and checked in one pass: each spec, the data
+section and the config document give ``settle`` their fields (a frozen spec
+its ``vars``) and one table of rows, and it names every failing field, a
+nested spec's too, by its path in its section (``normalize.std``)."""
+
+from dataclasses import fields
+from numbers import Integral
+from sys import float_info
 
 
 class FieldError(ValueError):
-    """Invalid spec fields, one ``field: requirement, got value`` line each."""
+    """Invalid fields, one ``path: requirement, got value`` line each."""
 
     def __init__(self, lines):
         super().__init__("\n".join(lines))
         self.lines = lines
 
 
-def check_fields(rules):
-    """Raise a FieldError with a line for each (field, value, holds,
-    requirement) rule that does not hold."""
-    lines = [f"{field}: {req}, got {value!r}" for field, value, holds, req in rules if not holds]
-    if lines:
-        raise FieldError(lines)
+REQUIRED = object()  # the default of a field that has none
 
 
-def converted(d, convert):
-    """``{field: f(d[field])}`` for each field of ``convert``, a
-    ``{field: (f, requirement)}`` table, that ``d`` holds. Raise a
-    FieldError with a line for each value that f refuses."""
-    out, lines = {}, []
-    for field, (f, req) in convert.items():
-        if field in d:
+def settle(values, rows):
+    """Convert the fields of ``values`` (a dict by field name) in place, one
+    (path, (test, convert, refusal), holds, requirement) row each, and raise
+    a FieldError with a line per field that is REQUIRED, that fails ``test``
+    or ``holds`` (None: no rule), or that ``convert`` refuses with a nested
+    spec's FieldError. A field that fails reads None to later rows."""
+    lines = []
+    for path, (test, convert, refusal), holds, requirement in rows:
+        key = path.rpartition(".")[2]
+        value, values[key] = values[key], None
+        if value is REQUIRED:
+            lines.append(f"{path}: required")
+        elif not test(value):
+            lines.append(f"{path}: {refusal}, got {value!r}")
+        else:
             try:
-                out[field] = f(d[field])
-            except (TypeError, ValueError):
-                lines.append(f"{field}: {req}, got {d[field]!r}")
+                value = convert(value)
+            except FieldError as e:
+                lines.extend(e.lines)
+                continue
+            if holds is None or holds(value):
+                values[key] = value
+            else:
+                lines.append(f"{path}: {requirement}, got {value!r}")
     if lines:
         raise FieldError(lines)
-    return out
 
 
-def _integral(value):
-    # int() truncates a fractional number; refuse it instead
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(value)
-    return int(value)
+def select(cls, d):
+    """A ``cls`` spec of the entries of ``d`` that name its fields."""
+    return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
-def _object(value):
-    if not isinstance(value, dict):
-        raise TypeError(value)
-    return value
+def nested(build, prefix, accept=(), refusal="must be an object"):
+    """A (test, convert, refusal) converter: a value of an ``accept`` type
+    passes as it is; an object builds a spec by ``build``, lines prefixed."""
+    def convert(value):
+        if isinstance(value, accept):
+            return value
+        try:
+            return build(value)
+        except FieldError as e:
+            raise FieldError([prefix + line for line in e.lines]) from None
+    return (lambda value: isinstance(value, (dict, accept))), convert, refusal
 
 
-# (converter, requirement) pairs for ``converted``
-NUMBER = (float, "must be a number")
-INTEGER = (_integral, "must be an integer")
-INTEGERS = (lambda values: tuple(map(_integral, values)), "must be a list of integers")
-OBJECT = (_object, "must be an object")
+def _integral(v):
+    # an integral float counts, a bool does not; the abstract Integral is slow, so last
+    return not isinstance(v, bool) and (
+        isinstance(v, float) and v.is_integer() or isinstance(v, (int, Integral)))
+
+
+def _finite(v):
+    # an int too large for a float is refused too
+    return not isinstance(v, bool) and isinstance(v, (float, int, Integral)) and (
+        abs(v) <= float_info.max)
+
+
+# (test, convert, refusal) converters for ``settle``
+INTEGER = (_integral, int, "must be an integer")
+NUMBER = (_finite, float, "must be a finite number")
+INTEGERS = (lambda vs: isinstance(vs, (list, tuple, range)) and all(map(_integral, vs)),
+            lambda vs: tuple(map(int, vs)), "must be a list of integers")
+NUMBERS = (lambda vs: isinstance(vs, (list, tuple)) and all(map(_finite, vs)),
+           lambda vs: tuple(map(float, vs)), "must be a list of finite numbers")
+STRING = ((lambda v: isinstance(v, str)), str, "must be a string")
+ANY = ((lambda v: True), (lambda v: v), "")

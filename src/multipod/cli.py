@@ -98,12 +98,13 @@ def cmd_train(args):
 
     out_dir = cfg.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "runs"
     # the data and the resume checkpoint are checked before any artifact is
-    # written, so a run that fails on them leaves nothing behind
+    # written, so a run that fails on them leaves its directory as it was
     train_batch, eval_batch = load_data(cfg)
     model = build_multipod(cfg.model)
     resume = None
     if args.resume:
         resume = load_checkpoint(os.path.join(out_dir, "last.ckpt"))
+        resume.check(model, cfg.augmentation.seed)
 
     os.makedirs(out_dir, exist_ok=True)
     effective = dataclasses.replace(cfg, output_dir=out_dir)

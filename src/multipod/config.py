@@ -4,9 +4,11 @@ before any compute. Every invalid field is reported with its dotted path."""
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+from functools import partial
 
-from .checks import FieldError
+from .checks import ANY, INTEGER, REQUIRED, STRING, FieldError, nested, settle
 from .data import CIFAR10_SIZE, AugmentationSpec, load_cifar10, synthetic_dataset
 from .models import MultiPodSpec
 from .training import TrainingSchedule
@@ -41,32 +43,26 @@ class RunConfig:
         }
 
 
-def _parse_data_section(d, errors):
-    # None when any field is invalid; the errors name each one
-    reported = len(errors)
-    kind = d.get("kind")
-    if kind not in DATA_KINDS:
-        errors.append(f"data.kind: must be one of {DATA_KINDS}, got {kind!r}")
-        return None
-    out = {"kind": kind}
-    if kind == "cifar10":
-        path = d.get("path")
-        if not isinstance(path, str) or not path:
-            errors.append("data.path: required directory path for kind 'cifar10'")
-            return None
-        out["path"] = path
-        out["classes"] = 10
-    else:
-        for key, default, low in (("classes", 4, 2), ("samples", 512, 2),
-                                  ("size", 16, 8), ("eval_samples", 128, 1),
-                                  ("seed", 0, None)):
-            val = d.get(key, default)
-            if not isinstance(val, int) or (low is not None and val < low):
-                errors.append(f"data.{key}: must be an int"
-                              + (f" >= {low}" if low is not None else "") + f", got {val!r}")
-            else:
-                out[key] = val
-    return out if len(errors) == reported else None
+# Each data kind's fields, in the order ``to_dict`` writes them, with their
+# defaults, and its rows for ``settle``
+_DATA_FIELDS = {
+    "cifar10": ({"path": REQUIRED, "classes": 10}, [
+        ("path", STRING, bool, "must be a directory path"),
+        ("classes", INTEGER, lambda classes: classes == 10, "must be 10 for kind 'cifar10'")]),
+    "synthetic": (dict(classes=4, samples=512, size=16, eval_samples=128, seed=0), [
+        (key, INTEGER, partial(operator.le, low), f"must be an int >= {low}") for key, low in
+        (("classes", 2), ("samples", 2), ("size", 8), ("eval_samples", 1), ("seed", 0))]),
+}
+
+
+def _data_section(d):
+    # a kind that is not one of DATA_KINDS leaves the other fields unjudged
+    values = {"kind": d.get("kind", REQUIRED)}
+    settle(values, [("kind", ANY, DATA_KINDS.__contains__, f"must be one of {DATA_KINDS}")])
+    defaults, rows = _DATA_FIELDS[values["kind"]]
+    values.update(defaults, **{key: d[key] for key in defaults if key in d})
+    settle(values, rows)
+    return values
 
 
 def parse_config(doc):
@@ -79,70 +75,48 @@ def parse_config(doc):
     if not isinstance(doc, dict):
         raise ConfigError(f"config root must be an object, got {type(doc).__name__}")
 
+    # a section that fails reads None below, and the lines name its fields
+    values = {"schema_version": REQUIRED, "seed": 0, "output_dir": None, "model": None,
+              "data": None, "schedule": {}, "augmentation": {}, **doc}
     errors = []
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        errors.append(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+    try:
+        settle(values, [
+            ("schema_version", INTEGER, lambda version: version == SCHEMA_VERSION,
+             f"expected {SCHEMA_VERSION}"),
+            ("seed", INTEGER, lambda seed: seed >= 0, "must be a non-negative int"),
+            ("output_dir", (lambda path: path is None or isinstance(path, str), lambda path: path,
+                            "must be a string path"), None, ""),
+            ("model", nested(MultiPodSpec.from_dict, "model.", refusal="required object"),
+             None, ""),
+            ("data", nested(_data_section, "data.", refusal="required object"), None, ""),
+            ("schedule", nested(TrainingSchedule.from_dict, "schedule."), None, ""),
+            # the run seed drives all data-side randomness
+            ("augmentation", nested(lambda d: AugmentationSpec.from_dict(
+                {**d, "seed": values["seed"] or 0}), "augmentation."), None, ""),
+        ])
+    except FieldError as e:
+        errors = e.lines
+    model, data, schedule, aug = (values[k] for k in ("model", "data", "schedule", "augmentation"))
 
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        errors.append(f"seed: must be a non-negative int, got {seed!r}")
-        seed = 0
-
-    output_dir = doc.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        errors.append(f"output_dir: must be a string path, got {output_dir!r}")
-        output_dir = None
-
-    model = None
-    if not isinstance(doc.get("model"), dict):
-        errors.append("model: required object")
-    else:
-        model = _section("model", MultiPodSpec.from_dict, doc["model"], errors)
-
-    data = None
-    if not isinstance(doc.get("data"), dict):
-        errors.append("data: required object")
-    else:
-        data = _parse_data_section(doc["data"], errors)
-
-    schedule = _section("schedule", TrainingSchedule.from_dict, doc.get("schedule", {}), errors)
-    # the run seed drives all data-side randomness
-    augmentation = _section("augmentation", lambda d: AugmentationSpec.from_dict({**d, "seed": seed}),
-                            doc.get("augmentation", {}), errors)
-
-    if model is not None and data is not None:
-        if model.classes != data["classes"]:
-            errors.append(f"model.classes: {model.classes} does not match "
-                          f"data.classes {data['classes']}")
-    if augmentation is not None and data is not None:
+    if model is not None and data is not None and model.classes != data["classes"]:
+        errors.append(f"model.classes: {model.classes} does not match "
+                      f"data.classes {data['classes']}")
+    if aug is not None and data is not None:
         try:
-            augmentation.check_crop(data.get("size", CIFAR10_SIZE))
+            aug.check_crop(data.get("size", CIFAR10_SIZE))
         except ValueError as e:
             errors.append(f"augmentation.{e}")  # e names its field, crop_size
 
     # each key must be one RunConfig.to_dict writes; a section that did not
     # parse has its own error and is not searched
-    _unknown_keys(doc, {"schema_version": version, "seed": seed, "output_dir": output_dir,
-                        "model": model and model.to_dict(), "data": data,
-                        "schedule": schedule and schedule.to_dict(),
-                        "augmentation": augmentation and augmentation.to_dict()}, "", errors)
+    _unknown_keys(doc, {"schema_version": SCHEMA_VERSION, "seed": values["seed"],
+                        "output_dir": values["output_dir"], "model": model and model.to_dict(),
+                        "data": data, "schedule": schedule and schedule.to_dict(),
+                        "augmentation": aug and aug.to_dict()}, "", errors)
 
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
-    return RunConfig(model, data, schedule, augmentation, output_dir, seed)
-
-
-def _section(name, from_dict, d, errors):
-    # The spec ``from_dict`` builds from section ``name``, or None with each
-    # error appended: a spec's field errors each get the section's path.
-    try:
-        return from_dict(d)
-    except FieldError as e:
-        errors.extend(f"{name}.{line}" for line in e.lines)
-    except (ValueError, KeyError, TypeError) as e:
-        errors.append(f"{name}: {e}")
-    return None
+    return RunConfig(model, data, schedule, aug, values["output_dir"], values["seed"])
 
 
 def _unknown_keys(doc, written, path, errors):

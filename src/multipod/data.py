@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .checks import INTEGER, NUMBER, OBJECT, check_fields, converted
+from .checks import ANY, INTEGER, NUMBER, NUMBERS, FieldError, nested, select, settle
 
 CIFAR10_MEAN = (0.4914, 0.4822, 0.4465)
 CIFAR10_STD = (0.2023, 0.1994, 0.2010)
@@ -60,19 +61,13 @@ class JitterSpec:
     saturation: tuple = (0.6, 1.4)
 
     def __post_init__(self):
-        ranges = [(name, tuple(getattr(self, name))) for name in ("brightness", "contrast", "saturation")]
-        for name, r in ranges:
-            object.__setattr__(self, name, r)
-        check_fields([(f"jitter.{name}", r, len(r) == 2 and 0 < r[0] <= 1 <= r[1],
-                       "must be a positive interval containing 1") for name, r in ranges])
+        settle(vars(self), [(name, NUMBERS, lambda r: len(r) == 2 and 0 < r[0] <= 1 <= r[1],
+                             "must be a positive interval containing 1")
+                            for name in ("brightness", "contrast", "saturation")])
 
     def to_dict(self):
         return {"brightness": list(self.brightness), "contrast": list(self.contrast),
                 "saturation": list(self.saturation)}
-
-    @staticmethod
-    def from_dict(d):
-        return JitterSpec(d["brightness"], d["contrast"], d["saturation"])
 
 
 @dataclass(frozen=True)
@@ -87,16 +82,17 @@ class AugmentationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", tuple(self.mean))
-        object.__setattr__(self, "std", tuple(self.std))
-        check_fields([
-            ("pad", self.pad, self.pad >= 0, "must be >= 0"),
-            ("crop_size", self.crop_size, self.crop_size >= 1, "must be >= 1"),
-            ("hflip_prob", self.hflip_prob, 0.0 <= self.hflip_prob <= 1.0, "must be in [0,1]"),
-            ("normalize.mean", self.mean, len(self.mean) == 3, "must have 3 components"),
-            ("normalize.std", self.std, len(self.std) == 3 and all(s > 0 for s in self.std),
+        settle(vars(self), [
+            ("pad", INTEGER, lambda pad: pad >= 0, "must be >= 0"),
+            ("crop_size", INTEGER, lambda size: size >= 1, "must be >= 1"),
+            ("hflip_prob", NUMBER, lambda p: 0.0 <= p <= 1.0, "must be in [0,1]"),
+            ("jitter", nested(partial(select, JitterSpec), "jitter.", (JitterSpec, type(None))),
+             None, ""),
+            ("normalize.mean", NUMBERS, lambda mean: len(mean) == 3, "must have 3 components"),
+            ("normalize.std", NUMBERS, lambda std: len(std) == 3 and all(s > 0 for s in std),
              "must have 3 components > 0"),
-            ("routing", self.routing, self.routing in ROUTINGS, f"must be one of {ROUTINGS}"),
+            ("routing", ANY, ROUTINGS.__contains__, f"must be one of {ROUTINGS}"),
+            ("seed", INTEGER, lambda seed: seed >= 0, "must be >= 0"),
         ])
 
     def check_crop(self, image_size):
@@ -118,15 +114,10 @@ class AugmentationSpec:
 
     @staticmethod
     def from_dict(d):
-        fields = converted(d, {"pad": INTEGER, "crop_size": INTEGER, "hflip_prob": NUMBER,
-                               "seed": INTEGER, "normalize": OBJECT})
-        norm = fields.pop("normalize", {})
-        fields.update({k: norm[k] for k in ("mean", "std") if k in norm})
-        if "routing" in d:
-            fields["routing"] = d["routing"]
-        if d.get("jitter") is not None:
-            fields["jitter"] = JitterSpec.from_dict(d["jitter"])
-        return AugmentationSpec(**fields)
+        norm = d.get("normalize", {})
+        if not isinstance(norm, dict):
+            raise FieldError([f"normalize: must be an object, got {norm!r}"])
+        return select(AugmentationSpec, {**d, **{k: norm[k] for k in ("mean", "std") if k in norm}})
 
 
 def _load_record_file(path):

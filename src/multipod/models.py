@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import tensor as T
-from .checks import INTEGER, INTEGERS, check_fields, converted
+from .checks import ANY, INTEGER, INTEGERS, REQUIRED, nested, select, settle
 
 CIFAR_FAMILY = "resnet-cifar"
 IMAGENET_FAMILY = "resnet-imagenet"
@@ -34,12 +35,14 @@ _STAGE_WIDTHS = {CIFAR_FAMILY: (16, 32, 64), IMAGENET_FAMILY: (64, 128, 256, 512
 class PodBaseSpec:
     """One pod's architecture. ``n`` is blocks per stage (cifar depth = 6n + 2)."""
 
-    family: str
-    n: int
+    family: str = REQUIRED
+    n: int = REQUIRED
 
     def __post_init__(self):
-        check_fields([("family", self.family, self.family in FAMILIES, f"must be one of {FAMILIES}"),
-                      ("n", self.n, isinstance(self.n, int) and self.n >= 1, "must be an int >= 1")])
+        settle(vars(self), [
+            ("family", ANY, FAMILIES.__contains__, f"must be one of {FAMILIES}"),
+            ("n", INTEGER, lambda n: n >= 1, "must be an int >= 1"),
+        ])
 
     @property
     def stage_widths(self):
@@ -62,25 +65,25 @@ def resnet_imagenet(n=2):
 
 @dataclass(frozen=True)
 class MultiPodSpec:
-    pods: int
-    base: PodBaseSpec
+    pods: int = REQUIRED
+    base: PodBaseSpec = REQUIRED
     fusion: str = APPROACH1
     combine_mode: str = "sum"
     classes: int = 10
-    seeds: tuple = None
+    seeds: tuple = None  # None: range(pods)
 
     def __post_init__(self):
-        pods_ok = isinstance(self.pods, int) and self.pods >= 1
-        seeds = range(self.pods if pods_ok else 0) if self.seeds is None else self.seeds
-        object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
-        check_fields([
-            ("pods", self.pods, pods_ok, "must be an int >= 1"),
-            ("fusion", self.fusion, self.fusion in FUSIONS, f"must be one of {FUSIONS}"),
-            ("combine_mode", self.combine_mode, self.combine_mode in COMBINE_MODES,
-             f"must be one of {COMBINE_MODES}"),
-            ("classes", self.classes, self.classes >= 2, "must be >= 2"),
-            ("seeds", self.seeds, not pods_ok or len(set(self.seeds)) == len(self.seeds) == self.pods,
-             f"must be {self.pods} pairwise distinct seeds"),
+        settle(vars(self), [
+            ("pods", INTEGER, lambda pods: pods >= 1, "must be an int >= 1"),
+            ("base", nested(partial(select, PodBaseSpec), "", PodBaseSpec), None, ""),
+            ("fusion", ANY, FUSIONS.__contains__, f"must be one of {FUSIONS}"),
+            ("combine_mode", ANY, COMBINE_MODES.__contains__, f"must be one of {COMBINE_MODES}"),
+            ("classes", INTEGER, lambda classes: classes >= 2, "must be >= 2"),
+            ("seeds", (lambda seeds: seeds is None or INTEGERS[0](seeds),
+                       lambda seeds: INTEGERS[1](range(self.pods or 0) if seeds is None else seeds),
+                       INTEGERS[2]),
+             lambda seeds: self.pods is None or len(set(seeds)) == len(seeds) == self.pods,
+             "must be pairwise distinct, one per pod"),
         ])
 
     def to_dict(self):
@@ -96,11 +99,7 @@ class MultiPodSpec:
 
     @staticmethod
     def from_dict(d):
-        base = PodBaseSpec(d["family"], d["n"])
-        fields = converted({k: d[k] for k in ("pods", "classes", "seeds")},
-                           {"pods": INTEGER, "classes": INTEGER, "seeds": INTEGERS})
-        return MultiPodSpec(base=base, **fields,
-                            **{k: d[k] for k in ("fusion", "combine_mode") if k in d})
+        return select(MultiPodSpec, {**d, "base": {k: d[k] for k in ("family", "n") if k in d}})
 
 
 class ParamStore:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .checks import INTEGER, INTEGERS, NUMBER, check_fields, converted
+from .checks import INTEGER, INTEGERS, NUMBER, select, settle
 from .data import make_pod_inputs
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -46,19 +46,18 @@ class TrainingSchedule:
     weight_decay: float = 1e-4
 
     def __post_init__(self):
-        object.__setattr__(self, "milestones", tuple(self.milestones))
-        ms = self.milestones
-        check_fields([
-            ("base_lr", self.base_lr, self.base_lr > 0, "must be > 0"),
-            ("decay", self.decay, 0 < self.decay <= 1, "must be in (0,1]"),
-            ("epochs", self.epochs, self.epochs >= 1, "must be >= 1"),
-            ("batch_size", self.batch_size, self.batch_size >= 1, "must be >= 1"),
-            ("momentum", self.momentum, 0 <= self.momentum < 1, "must be in [0,1)"),
-            ("weight_decay", self.weight_decay, self.weight_decay >= 0, "must be >= 0"),
-            ("milestones", ms, all(a < b for a, b in zip(ms, ms[1:])), "must be strictly increasing"),
-            # the range rule waits for a valid epochs, which has its own line
-            ("milestones", ms, self.epochs < 1 or all(0 <= m < self.epochs for m in ms),
-             f"must lie in [0, {self.epochs})"),
+        settle(vars(self), [
+            ("base_lr", NUMBER, lambda lr: lr > 0, "must be > 0"),
+            ("decay", NUMBER, lambda decay: 0 < decay <= 1, "must be in (0,1]"),
+            ("epochs", INTEGER, lambda epochs: epochs >= 1, "must be >= 1"),
+            ("batch_size", INTEGER, lambda size: size >= 1, "must be >= 1"),
+            ("momentum", NUMBER, lambda m: 0 <= m < 1, "must be in [0,1)"),
+            ("weight_decay", NUMBER, lambda wd: wd >= 0, "must be >= 0"),
+            # the range waits for a valid epochs, which has its own line
+            ("milestones", INTEGERS,
+             lambda ms: all(a < b for a, b in zip(ms, ms[1:])) and (
+                 self.epochs is None or all(0 <= m < self.epochs for m in ms)),
+             "must be strictly increasing and must lie in [0, epochs)"),
         ])
 
     def to_dict(self):
@@ -68,9 +67,7 @@ class TrainingSchedule:
 
     @staticmethod
     def from_dict(d):
-        return TrainingSchedule(**converted(d, {
-            "base_lr": NUMBER, "milestones": INTEGERS, "decay": NUMBER, "epochs": INTEGER,
-            "batch_size": INTEGER, "momentum": NUMBER, "weight_decay": NUMBER}))
+        return select(TrainingSchedule, d)
 
 
 def lr_at_epoch(schedule, epoch):
@@ -210,10 +207,12 @@ class Checkpoint:
         return Checkpoint(model.spec.to_dict(), store.param_values(), momentum,
                           store.buffer_state(), int(epoch), int(seed), float(best_top1))
 
-    def apply(self, model):
-        """Load this state into ``model``; raises ``CheckpointError``, leaving
-        the model as it was, unless every parameter, momentum buffer and BN
-        buffer matches the model's by name and shape."""
+    def check(self, model, seed=None):
+        """Raise ``CheckpointError`` unless every parameter, momentum buffer
+        and BN buffer matches ``model``'s by name and shape and, given
+        ``seed``, this state was trained with that data seed."""
+        if seed is not None and self.seed != seed:
+            raise CheckpointError(f"checkpoint data seed {self.seed} != configured seed {seed}")
         if self.spec != model.spec.to_dict():
             raise CheckpointError(
                 f"checkpoint spec mismatch: saved {self.spec}, model {model.spec.to_dict()}")
@@ -230,6 +229,12 @@ class Checkpoint:
                     raise CheckpointError(
                         f"checkpoint {kind} {name!r}: saved {got.get(name, 'nothing')}, "
                         f"model expects {shapes.get(name, 'nothing')}")
+
+    def apply(self, model, seed=None):
+        """Load this state into ``model``, which stays as it was unless the
+        ``check`` passes."""
+        self.check(model, seed)
+        store = model.store
         store.load_param_values(self.params)
         store.load_buffer_state(self.buffers)
         store.momentum = {name: np.asarray(v, dtype=store.dtype).copy()
@@ -347,10 +352,7 @@ def train(model, train_batch, eval_batch, schedule, aug, out_dir=None,
     best_top1 = -1.0
     best = None
     if resume_from is not None:
-        resume_from.apply(model)
-        if resume_from.seed != seed:
-            raise CheckpointError(
-                f"checkpoint data seed {resume_from.seed} != configured seed {seed}")
+        resume_from.apply(model, seed)
         start_epoch = resume_from.epoch
         best_top1 = resume_from.best_top1
 

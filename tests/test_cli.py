@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -7,10 +8,13 @@ import sys
 import numpy as np
 import pytest
 
+from multipod.checks import FieldError
 from multipod.cli import main
 from multipod.config import ConfigError, parse_config
-from multipod.data import DataError, read_ppm, write_ppm
-from multipod.models import MultiPodSpec, count_params, resnet_cifar
+from multipod.data import AugmentationSpec, DataError, JitterSpec, read_ppm, write_ppm
+from multipod.models import (CIFAR_FAMILY, MultiPodSpec, PodBaseSpec, count_params,
+                             resnet_cifar)
+from multipod.training import TrainingSchedule
 from test_data import fake_cifar_dir
 
 ROOT = pathlib.Path(__file__).parents[1]
@@ -56,6 +60,27 @@ def log_lines(out_dir):
 
 def drop_wall_time(rows):
     return [{k: v for k, v in r.items() if k != "wall_time"} for r in rows]
+
+
+# (path, value, the one line that refuses it)
+WRONG_KINDS = [
+    ("model.pods", True, "model.pods: must be an integer, got True"),
+    ("seed", True, "seed: must be an integer, got True"),
+    ("data.samples", True, "data.samples: must be an integer, got True"),
+    ("schedule.epochs", "5", "schedule.epochs: must be an integer, got '5'"),
+    ("augmentation.hflip_prob", "0.5",
+     "augmentation.hflip_prob: must be a finite number, got '0.5'"),
+    ("schedule.base_lr", float("inf"), "schedule.base_lr: must be a finite number, got inf"),
+    ("augmentation.normalize.mean", [float("nan"), 0, 0],
+     "augmentation.normalize.mean: must be a list of finite numbers, got [nan, 0, 0]"),
+    ("augmentation.normalize.mean", ["a", "b", "c"],
+     "augmentation.normalize.mean: must be a list of finite numbers, got ['a', 'b', 'c']"),
+    ("augmentation.normalize.std", ["1", "1", "1"],
+     "augmentation.normalize.std: must be a list of finite numbers, got ['1', '1', '1']"),
+    ("augmentation.jitter", [1, 2], "augmentation.jitter: must be an object, got [1, 2]"),
+    ("augmentation.jitter", {"brightness": 5},
+     "augmentation.jitter.brightness: must be a list of finite numbers, got 5"),
+]
 
 
 class TestCountParams:
@@ -273,6 +298,60 @@ class TestTrain:
         cfg = parse_config(toy_config_doc(**{"augmentation.pad": 2.0, "schedule.epochs": 3.0}))
         assert (cfg.augmentation.pad, cfg.schedule.epochs) == (2, 3)
 
+    def test_integral_numbers_are_integers_in_every_section(self):
+        cfg = parse_config(toy_config_doc(**{"seed": 2.0, "data.samples": 24.0,
+                                             "model.n": 1.0}))
+        assert (cfg.seed, cfg.data["samples"], cfg.model.base.n) == (2, 24, 1)
+        assert json.dumps(cfg.to_dict()) == json.dumps(parse_config(
+            toy_config_doc(**{"seed": 2})).to_dict())
+
+    @pytest.mark.parametrize("path,value,line", WRONG_KINDS,
+                             ids=[f"{path}={value!r}" for path, value, _ in WRONG_KINDS])
+    def test_value_of_the_wrong_kind_is_one_line_and_leaves_nothing(self, tmp_path, capsys,
+                                                                    path, value, line):
+        # the config goes through JSON text, which spells inf and nan as
+        # Infinity and NaN
+        out_dir = tmp_path / "run"
+        cfg = write_config(tmp_path, out_dir=str(out_dir), **{path: value})
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: invalid configuration:",
+                                                        f"  {line}"]
+        assert not out_dir.exists()
+
+    def test_nested_spec_lines_join_their_section(self):
+        with pytest.raises(ConfigError) as e:
+            parse_config(toy_config_doc(**{"model.family": "resnet-cfar", "model.pods": 0,
+                                           "augmentation.jitter": {"contrast": [2, 3]},
+                                           "augmentation.pad": -1}))
+        for line in ("model.family: must be one of", "model.pods: must be an int >= 1, got 0",
+                     "augmentation.jitter.contrast: must be a positive interval",
+                     "augmentation.pad: must be >= 0, got -1"):
+            assert line in str(e.value)
+        # an omitted jitter range takes its default
+        cfg = parse_config(toy_config_doc(**{"augmentation.jitter": {"contrast": [0.9, 1.1]}}))
+        assert cfg.augmentation.jitter == JitterSpec(contrast=(0.9, 1.1))
+
+    def test_missing_required_key_is_named(self):
+        doc = toy_config_doc()
+        del doc["model"]["n"], doc["data"]["kind"]
+        with pytest.raises(ConfigError) as e:
+            parse_config(doc)
+        assert str(e.value).splitlines()[1:] == ["  model.n: required", "  data.kind: required"]
+
+    @pytest.mark.parametrize("args,tweak", [(["--seed", "5"], {}),
+                                            ([], {"model.pods": 3, "model.seeds": [0, 1, 2]})],
+                             ids=["seed", "pods"])
+    def test_refused_resume_leaves_the_run_directory_as_it_was(self, tmp_path, capsys,
+                                                              args, tweak):
+        out_dir = tmp_path / "run"
+        cfg = write_config(tmp_path, out_dir=str(out_dir), **{"schedule.epochs": 1})
+        assert main(["train", "--config", cfg]) == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        other = write_config(tmp_path, "other.json", out_dir=str(out_dir), **tweak)
+        assert main(["train", "--config", other, "--resume", *args]) == 2
+        assert "checkpoint" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
     def test_cifar10_crop_larger_than_padded_image_leaves_nothing(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
         data_dir = tmp_path / "data"
@@ -312,6 +391,43 @@ class TestTrain:
         with np.errstate(all="ignore"):
             assert main(["train", "--config", cfg]) == 3
         assert "numerical abort" in capsys.readouterr().err
+
+
+def _leaf_paths(doc, prefix=""):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+# every field of every spec, with arguments that make the others valid; a
+# field with no row in its spec's table would pass a foreign value through
+SPEC_FIELDS = [(cls, kwargs, field.name)
+               for cls, kwargs in ((PodBaseSpec, {"family": CIFAR_FAMILY, "n": 1}),
+                                   (MultiPodSpec, {"pods": 2, "base": resnet_cifar(1)}),
+                                   (JitterSpec, {}), (AugmentationSpec, {}),
+                                   (TrainingSchedule, {}))
+               for field in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("cls,kwargs,field", SPEC_FIELDS,
+                         ids=[f"{cls.__name__}.{field}" for cls, _, field in SPEC_FIELDS])
+def test_every_spec_field_refuses_a_foreign_value_by_path(cls, kwargs, field):
+    with pytest.raises(FieldError) as e:
+        cls(**{**kwargs, field: object()})
+    path = {"mean": "normalize.mean", "std": "normalize.std"}.get(field, field)
+    assert [line.partition(":")[0] for line in e.value.lines] == [path]
+
+
+@pytest.mark.parametrize("path", [*_leaf_paths(toy_config_doc()), "data.path"])
+def test_every_config_value_refuses_a_foreign_value_by_path(path):
+    tweaks = {path: object()}
+    if path == "data.path":
+        tweaks = {"data": {"kind": "cifar10", "path": object()}, "model.classes": 10}
+    with pytest.raises(ConfigError) as e:
+        parse_config(toy_config_doc(**tweaks))
+    assert [line.partition(":")[0] for line in str(e.value).splitlines()[1:]] == [f"  {path}"]
 
 
 @pytest.fixture

@@ -92,6 +92,7 @@ class TestSpecValidation:
         dict(pods=2, classes=1),
         dict(pods=2, seeds=(1,)),
         dict(pods=2, seeds=(5, 5)),
+        dict(pods=2, seeds=(1.5, 2)),
     ])
     def test_invalid_specs(self, kwargs):
         defaults = dict(pods=2, base=resnet_cifar(1), fusion=APPROACH1)

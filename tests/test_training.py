@@ -560,8 +560,12 @@ class TestTrainLoop:
         ckpt = load_checkpoint(tmp_path / "last.ckpt")
 
         model2, _, _, aug2 = tiny_setup(seed=123)
+        params = model2.store.param_values()
         with pytest.raises(CheckpointError, match="seed"):
             train(model2, train_batch, eval_batch, sched, aug2, resume_from=ckpt)
+        # the refused checkpoint is not loaded
+        for name, arr in model2.store.param_values().items():
+            assert np.array_equal(arr, params[name]), name
 
     def test_scale_fusion_trains_too(self):
         data = synthetic_dataset(4, 24, 16, seed=7)
