@@ -79,6 +79,7 @@ def _with_overrides(cfg, args):
     # Each flag is applied and validated in turn, so an error names the flag
     # that made a valid config invalid.
     doc = cfg.to_dict()
+    del doc["augmentation"]["seed"]  # it follows the run seed, which --seed may change
     for flag, section, key, value in (("--seed", None, "seed", args.seed),
                                       ("--epochs", "schedule", "epochs", args.epochs),
                                       ("--batch-size", "schedule", "batch_size", args.batch_size),

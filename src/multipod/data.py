@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .checks import ANY, INTEGER, NUMBER, NUMBERS, FieldError, nested, select, settle
+from .checks import ANY, INTEGER, NUMBER, NUMBERS, FieldError, Spec, nested, one_of, rule
 
 CIFAR10_MEAN = (0.4914, 0.4822, 0.4465)
 CIFAR10_STD = (0.2023, 0.1994, 0.2010)
@@ -55,23 +54,18 @@ class ImageBatch:
 
 
 @dataclass(frozen=True)
-class JitterSpec:
+class JitterSpec(Spec):
     brightness: tuple = (0.6, 1.4)
     contrast: tuple = (0.6, 1.4)
     saturation: tuple = (0.6, 1.4)
 
-    def __post_init__(self):
-        settle(vars(self), [(name, NUMBERS, lambda r: len(r) == 2 and 0 < r[0] <= 1 <= r[1],
-                             "must be a positive interval containing 1")
-                            for name in ("brightness", "contrast", "saturation")])
-
-    def to_dict(self):
-        return {"brightness": list(self.brightness), "contrast": list(self.contrast),
-                "saturation": list(self.saturation)}
+    FIELDS = tuple((name, NUMBERS, rule(lambda r: len(r) == 2 and 0 < r[0] <= 1 <= r[1],
+                                        "must be a positive interval containing 1"))
+                   for name in ("brightness", "contrast", "saturation"))
 
 
 @dataclass(frozen=True)
-class AugmentationSpec:
+class AugmentationSpec(Spec):
     pad: int = 4
     crop_size: int = 32
     hflip_prob: float = 0.5
@@ -81,43 +75,23 @@ class AugmentationSpec:
     routing: str = "identical"
     seed: int = 0
 
-    def __post_init__(self):
-        settle(vars(self), [
-            ("pad", INTEGER, lambda pad: pad >= 0, "must be >= 0"),
-            ("crop_size", INTEGER, lambda size: size >= 1, "must be >= 1"),
-            ("hflip_prob", NUMBER, lambda p: 0.0 <= p <= 1.0, "must be in [0,1]"),
-            ("jitter", nested(partial(select, JitterSpec), "jitter.", (JitterSpec, type(None))),
-             None, ""),
-            ("normalize.mean", NUMBERS, lambda mean: len(mean) == 3, "must have 3 components"),
-            ("normalize.std", NUMBERS, lambda std: len(std) == 3 and all(s > 0 for s in std),
-             "must have 3 components > 0"),
-            ("routing", ANY, ROUTINGS.__contains__, f"must be one of {ROUTINGS}"),
-            ("seed", INTEGER, lambda seed: seed >= 0, "must be >= 0"),
-        ])
+    FIELDS = (
+        ("pad", INTEGER, rule(lambda pad: pad >= 0, "must be >= 0")),
+        ("crop_size", INTEGER, rule(lambda size: size >= 1, "must be >= 1")),
+        ("hflip_prob", NUMBER, rule(lambda p: 0.0 <= p <= 1.0, "must be in [0,1]")),
+        ("jitter", nested(JitterSpec, optional=True), None),
+        ("normalize.mean", NUMBERS, rule(lambda mean: len(mean) == 3, "must have 3 components")),
+        ("normalize.std", NUMBERS, rule(lambda std: len(std) == 3 and all(s > 0 for s in std),
+                                        "must have 3 components > 0")),
+        ("routing", ANY, one_of(ROUTINGS)),
+        ("seed", INTEGER, rule(lambda seed: seed >= 0, "must be >= 0")),
+    )
 
     def check_crop(self, image_size):
         """Raise unless the crop fits an image of ``image_size`` padded by ``pad``."""
         padded = image_size + 2 * self.pad
         if self.crop_size > padded:
-            raise ValueError(f"crop_size: {self.crop_size} exceeds padded image size {padded}")
-
-    def to_dict(self):
-        return {
-            "pad": self.pad,
-            "crop_size": self.crop_size,
-            "hflip_prob": self.hflip_prob,
-            "jitter": None if self.jitter is None else self.jitter.to_dict(),
-            "normalize": {"mean": list(self.mean), "std": list(self.std)},
-            "routing": self.routing,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(d):
-        norm = d.get("normalize", {})
-        if not isinstance(norm, dict):
-            raise FieldError([f"normalize: must be an object, got {norm!r}"])
-        return select(AugmentationSpec, {**d, **{k: norm[k] for k in ("mean", "std") if k in norm}})
+            raise FieldError([f"crop_size: {self.crop_size} exceeds padded image size {padded}"])
 
 
 def _load_record_file(path):

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import tensor as T
-from .checks import ANY, INTEGER, INTEGERS, REQUIRED, nested, select, settle
+from .checks import ANY, INTEGER, INTEGERS, REQUIRED, Kind, Spec, nested, one_of, rule
 
 CIFAR_FAMILY = "resnet-cifar"
 IMAGENET_FAMILY = "resnet-imagenet"
@@ -28,21 +27,25 @@ APPROACH2 = "approach2-scale-elementwise"
 FUSIONS = (APPROACH1, APPROACH2)
 COMBINE_MODES = ("sum", "product")
 
+# upper bounds that refuse an absurd spec before anything is built from it
+MAX_PODS = 64
+MAX_BLOCKS = 1000  # n, blocks per stage
+MAX_CLASSES = 100_000
+
 _STAGE_WIDTHS = {CIFAR_FAMILY: (16, 32, 64), IMAGENET_FAMILY: (64, 128, 256, 512)}
 
 
 @dataclass(frozen=True)
-class PodBaseSpec:
+class PodBaseSpec(Spec):
     """One pod's architecture. ``n`` is blocks per stage (cifar depth = 6n + 2)."""
 
     family: str = REQUIRED
     n: int = REQUIRED
 
-    def __post_init__(self):
-        settle(vars(self), [
-            ("family", ANY, FAMILIES.__contains__, f"must be one of {FAMILIES}"),
-            ("n", INTEGER, lambda n: n >= 1, "must be an int >= 1"),
-        ])
+    FIELDS = (
+        ("family", ANY, one_of(FAMILIES)),
+        ("n", INTEGER, rule(lambda n: n >= 1, "must be an int >= 1", MAX_BLOCKS)),
+    )
 
     @property
     def stage_widths(self):
@@ -64,42 +67,26 @@ def resnet_imagenet(n=2):
 
 
 @dataclass(frozen=True)
-class MultiPodSpec:
+class MultiPodSpec(Spec):
     pods: int = REQUIRED
     base: PodBaseSpec = REQUIRED
     fusion: str = APPROACH1
     combine_mode: str = "sum"
     classes: int = 10
-    seeds: tuple = None  # None: range(pods)
+    seeds: tuple = None  # None: range(pods), built once pods holds its bounds
 
-    def __post_init__(self):
-        settle(vars(self), [
-            ("pods", INTEGER, lambda pods: pods >= 1, "must be an int >= 1"),
-            ("base", nested(partial(select, PodBaseSpec), "", PodBaseSpec), None, ""),
-            ("fusion", ANY, FUSIONS.__contains__, f"must be one of {FUSIONS}"),
-            ("combine_mode", ANY, COMBINE_MODES.__contains__, f"must be one of {COMBINE_MODES}"),
-            ("classes", INTEGER, lambda classes: classes >= 2, "must be >= 2"),
-            ("seeds", (lambda seeds: seeds is None or INTEGERS[0](seeds),
-                       lambda seeds: INTEGERS[1](range(self.pods or 0) if seeds is None else seeds),
-                       INTEGERS[2]),
-             lambda seeds: self.pods is None or len(set(seeds)) == len(seeds) == self.pods,
-             "must be pairwise distinct, one per pod"),
-        ])
-
-    def to_dict(self):
-        return {
-            "family": self.base.family,
-            "n": self.base.n,
-            "pods": self.pods,
-            "fusion": self.fusion,
-            "combine_mode": self.combine_mode,
-            "classes": self.classes,
-            "seeds": list(self.seeds),
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return select(MultiPodSpec, {**d, "base": {k: d[k] for k in ("family", "n") if k in d}})
+    FIELDS = (
+        ("base", nested(PodBaseSpec, inline=True), None),  # family and n, in this section
+        ("pods", INTEGER, rule(lambda pods: pods >= 1, "must be an int >= 1", MAX_PODS)),
+        ("fusion", ANY, one_of(FUSIONS)),
+        ("combine_mode", ANY, one_of(COMBINE_MODES)),
+        ("classes", INTEGER, rule(lambda classes: classes >= 2, "must be >= 2", MAX_CLASSES)),
+        ("seeds", Kind(lambda seeds: seeds is None or INTEGERS.test(seeds), lambda seeds, v:
+                       INTEGERS.convert(range(v["pods"] or 0) if seeds is None else seeds, v),
+                       INTEGERS.refusal),
+         lambda seeds, v: v["pods"] and not len(set(seeds)) == len(seeds) == v["pods"] and
+         f"must be pairwise distinct, one per pod, got {seeds!r}"),
+    )
 
 
 class ParamStore:

@@ -17,10 +17,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .checks import INTEGER, INTEGERS, NUMBER, select, settle
+from .checks import INTEGER, INTEGERS, NUMBER, Spec, rule
 from .data import make_pod_inputs
 
 CHECKPOINT_FORMAT_VERSION = 1
+
+# upper bounds that refuse an absurd schedule before a run starts
+MAX_EPOCHS = 100_000
+MAX_BATCH_SIZE = 65_536
 
 # Shuffle streams share the (seed, epoch, index) keying of per-sample
 # augmentation streams; this tag keeps them disjoint from any sample index.
@@ -36,7 +40,7 @@ class CheckpointError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TrainingSchedule:
+class TrainingSchedule(Spec):
     base_lr: float = 0.1
     milestones: tuple = (82, 122, 163)
     decay: float = 0.1
@@ -45,29 +49,19 @@ class TrainingSchedule:
     momentum: float = 0.9
     weight_decay: float = 1e-4
 
-    def __post_init__(self):
-        settle(vars(self), [
-            ("base_lr", NUMBER, lambda lr: lr > 0, "must be > 0"),
-            ("decay", NUMBER, lambda decay: 0 < decay <= 1, "must be in (0,1]"),
-            ("epochs", INTEGER, lambda epochs: epochs >= 1, "must be >= 1"),
-            ("batch_size", INTEGER, lambda size: size >= 1, "must be >= 1"),
-            ("momentum", NUMBER, lambda m: 0 <= m < 1, "must be in [0,1)"),
-            ("weight_decay", NUMBER, lambda wd: wd >= 0, "must be >= 0"),
-            # the range waits for a valid epochs, which has its own line
-            ("milestones", INTEGERS,
-             lambda ms: all(a < b for a, b in zip(ms, ms[1:])) and (
-                 self.epochs is None or all(0 <= m < self.epochs for m in ms)),
-             "must be strictly increasing and must lie in [0, epochs)"),
-        ])
-
-    def to_dict(self):
-        d = asdict(self)
-        d["milestones"] = list(self.milestones)
-        return d
-
-    @staticmethod
-    def from_dict(d):
-        return select(TrainingSchedule, d)
+    FIELDS = (
+        ("base_lr", NUMBER, rule(lambda lr: lr > 0, "must be > 0")),
+        ("milestones", INTEGERS, rule(lambda ms: all(a < b for a, b in zip(ms, ms[1:])),
+                                      "must be strictly increasing")),
+        ("decay", NUMBER, rule(lambda decay: 0 < decay <= 1, "must be in (0,1]")),
+        ("epochs", INTEGER, rule(lambda epochs: epochs >= 1, "must be >= 1", MAX_EPOCHS)),
+        ("batch_size", INTEGER, rule(lambda size: size >= 1, "must be >= 1", MAX_BATCH_SIZE)),
+        ("momentum", NUMBER, rule(lambda m: 0 <= m < 1, "must be in [0,1)")),
+        ("weight_decay", NUMBER, rule(lambda wd: wd >= 0, "must be >= 0")),
+        # the range waits for a valid epochs, which has its own line
+        ("milestones", None, lambda ms, v: v["epochs"] is not None and not all(
+            0 <= m < v["epochs"] for m in ms) and f"must lie in [0, epochs), got {ms!r}"),
+    )
 
 
 def lr_at_epoch(schedule, epoch):

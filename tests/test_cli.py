@@ -10,11 +10,11 @@ import pytest
 
 from multipod.checks import FieldError
 from multipod.cli import main
-from multipod.config import ConfigError, parse_config
+from multipod.config import MAX_IMAGE_SIZE, MAX_SAMPLES, ConfigError, parse_config
 from multipod.data import AugmentationSpec, DataError, JitterSpec, read_ppm, write_ppm
-from multipod.models import (CIFAR_FAMILY, MultiPodSpec, PodBaseSpec, count_params,
-                             resnet_cifar)
-from multipod.training import TrainingSchedule
+from multipod.models import (CIFAR_FAMILY, MAX_BLOCKS, MAX_CLASSES, MAX_PODS, MultiPodSpec,
+                             PodBaseSpec, count_params, resnet_cifar)
+from multipod.training import MAX_BATCH_SIZE, MAX_EPOCHS, TrainingSchedule
 from test_data import fake_cifar_dir
 
 ROOT = pathlib.Path(__file__).parents[1]
@@ -81,6 +81,31 @@ WRONG_KINDS = [
     ("augmentation.jitter", {"brightness": 5},
      "augmentation.jitter.brightness: must be a list of finite numbers, got 5"),
 ]
+
+# tweaks, and every line that refuses them: a bad normalize stops none of its
+# section's other rows, and a section that fails is still searched for unknown keys
+MANY_LINES = {
+    "normalize-pad-padd": (
+        {"augmentation.normalize": [[0.5, 0.5, 0.5], [0.25, 0.25, 0.25]],
+         "augmentation.pad": -1, "augmentation.padd": 4},
+        ["augmentation.normalize: must be an object, got [[0.5, 0.5, 0.5], [0.25, 0.25, 0.25]]",
+         "augmentation.pad: must be >= 0, got -1", "augmentation.padd: unknown key"]),
+    "pods-podz": ({"model.pods": 0, "model.podz": 2},
+                  ["model.pods: must be an int >= 1, got 0", "model.podz: unknown key"]),
+    "jitter-hue": ({"augmentation.jitter": {"brightness": 5, "hue": [0.9, 1.1]}},
+                   ["augmentation.jitter.brightness: must be a list of finite numbers, got 5",
+                    "augmentation.jitter.hue: unknown key"]),
+    "samples-sample": ({"data.samples": 0, "data.sample": 24},
+                       ["data.samples: must be an int >= 2, got 0", "data.sample: unknown key"]),
+}
+
+# (path, upper bound, tweaks that let the bound itself parse)
+BOUNDS = [("model.pods", MAX_PODS, {"model.seeds": None}), ("model.n", MAX_BLOCKS, {}),
+          ("model.classes", MAX_CLASSES, {"data.classes": MAX_CLASSES}),
+          ("data.classes", MAX_CLASSES, {"model.classes": MAX_CLASSES}),
+          ("data.samples", MAX_SAMPLES, {}), ("data.size", MAX_IMAGE_SIZE, {}),
+          ("data.eval_samples", MAX_SAMPLES, {}), ("schedule.epochs", MAX_EPOCHS, {}),
+          ("schedule.batch_size", MAX_BATCH_SIZE, {})]
 
 
 class TestCountParams:
@@ -318,6 +343,50 @@ class TestTrain:
                                                         f"  {line}"]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("tweaks,lines", MANY_LINES.values(), ids=MANY_LINES.keys())
+    def test_failing_section_lists_every_line(self, tmp_path, capsys, tweaks, lines):
+        out_dir = tmp_path / "run"
+        cfg = write_config(tmp_path, out_dir=str(out_dir), **tweaks)
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: invalid configuration:",
+                                                        *(f"  {line}" for line in lines)]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("path,value,high", [("model.n", 10**400, MAX_BLOCKS),
+                                                 ("model.pods", 1e300, MAX_PODS)],
+                             ids=["model.n=10**400", "model.pods=1e300"])
+    def test_absurd_size_is_one_line_and_leaves_nothing(self, tmp_path, capsys, path, value,
+                                                         high):
+        line = f"  {path}: must be <= {high}, got {int(value)}"
+        with pytest.raises(ConfigError) as e:  # before main, which would build the model
+            parse_config(toy_config_doc(**{path: value}))
+        assert str(e.value).splitlines()[1:] == [line]
+        out_dir = tmp_path / "run"
+        cfg = write_config(tmp_path, out_dir=str(out_dir), **{path: value})
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: invalid configuration:", line]
+        assert not out_dir.exists()
+
+    def test_augmentation_seed_must_be_the_run_seed(self, tmp_path, capsys):
+        # config.json writes it equal to seed, so an equal one is accepted
+        cfg = parse_config(toy_config_doc(**{"seed": 5, "augmentation.seed": 5}))
+        assert cfg == parse_config(toy_config_doc(seed=5))
+        assert cfg.augmentation.seed == 5
+        out_dir = tmp_path / "run"
+        other = write_config(tmp_path, out_dir=str(out_dir), **{"augmentation.seed": 7})
+        assert main(["train", "--config", other]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: invalid configuration:", "  augmentation.seed: must equal seed 0, got 7"]
+        assert not out_dir.exists()
+        # --seed over a written config.json moves both seeds
+        cfg = write_config(tmp_path, out_dir=str(out_dir), **{"schedule.epochs": 1})
+        assert main(["train", "--config", cfg]) == 0
+        again = tmp_path / "again"
+        assert main(["train", "--config", str(out_dir / "config.json"), "--seed", "5",
+                     "--output-dir", str(again)]) == 0
+        saved = json.loads((again / "config.json").read_text())
+        assert (saved["seed"], saved["augmentation"]["seed"]) == (5, 5)
+
     def test_nested_spec_lines_join_their_section(self):
         with pytest.raises(ConfigError) as e:
             parse_config(toy_config_doc(**{"model.family": "resnet-cfar", "model.pods": 0,
@@ -418,6 +487,14 @@ def test_every_spec_field_refuses_a_foreign_value_by_path(cls, kwargs, field):
         cls(**{**kwargs, field: object()})
     path = {"mean": "normalize.mean", "std": "normalize.std"}.get(field, field)
     assert [line.partition(":")[0] for line in e.value.lines] == [path]
+
+
+@pytest.mark.parametrize("path,high,others", BOUNDS, ids=[path for path, *_ in BOUNDS])
+def test_each_size_has_an_upper_bound(path, high, others):
+    parse_config(toy_config_doc(**{path: high, **others}))
+    with pytest.raises(ConfigError) as e:
+        parse_config(toy_config_doc(**{path: high + 1}))
+    assert str(e.value).splitlines()[1:] == [f"  {path}: must be <= {high}, got {high + 1}"]
 
 
 @pytest.mark.parametrize("path", [*_leaf_paths(toy_config_doc()), "data.path"])
