@@ -22,7 +22,8 @@ from .gradcheck import gradient_check
 from .models import (APPROACH1, APPROACH2, CIFAR_FAMILY, COMBINE_MODES, MultiPodSpec,
                      build_multipod, count_params, resnet_cifar, resnet_imagenet)
 from .training import (CheckpointError, NumericalAbort, evaluate_center_crop,
-                       evaluate_ten_crop, load_checkpoint, train, write_atomically)
+                       evaluate_ten_crop, load_checkpoint, read_log, train,
+                       write_atomically)
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -98,7 +99,7 @@ def cmd_train(args):
     cfg = _with_overrides(load_config(args.config), args)
 
     out_dir = cfg.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "runs"
-    # the data and the resume checkpoint are checked before any artifact is
+    # the data, the resume checkpoint and its log are checked before any artifact is
     # written, so a run that fails on them leaves its directory as it was
     train_batch, eval_batch = load_data(cfg)
     model = build_multipod(cfg.model)
@@ -106,6 +107,7 @@ def cmd_train(args):
     if args.resume:
         resume = load_checkpoint(os.path.join(out_dir, "last.ckpt"))
         resume.check(model, cfg.augmentation.seed)
+        read_log(os.path.join(out_dir, "train_log.jsonl"))
 
     os.makedirs(out_dir, exist_ok=True)
     effective = dataclasses.replace(cfg, output_dir=out_dir)
@@ -123,8 +125,8 @@ def cmd_train(args):
                    out_dir=out_dir, resume_from=resume, early_stop=progress)
 
     # the best epoch of the whole run, resumed or not: the first peak, as in best.ckpt
-    with open(os.path.join(out_dir, "train_log.jsonl")) as f:
-        best = max(map(json.loads, f), key=lambda r: r["eval_top1"], default={})
+    best = max((r.to_dict() for r in read_log(os.path.join(out_dir, "train_log.jsonl"))),
+               key=lambda r: r["eval_top1"], default={})
     summary = {
         "best_top1": best.get("eval_top1"),
         "best_top5": best.get("eval_top5"),
@@ -155,9 +157,7 @@ def cmd_count_params(args):
 
 def cmd_gradcheck(args):
     if args.size > 16:
-        print(f"error: --size {args.size} too large for finite differences (max 16)",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--size {args.size} too large for finite differences (max 16)")
     spec = _spec_from_args(args, resnet_cifar(args.n))
     model = build_multipod(spec, dtype=np.float64)
     rng = np.random.default_rng(args.seed)
@@ -170,9 +170,6 @@ def cmd_gradcheck(args):
         def progress(name, size, worst):
             print(f"  {name}: {size} scalars, worst rel err {worst:.3e}", flush=True)
 
-    if args.sample_stride < 1:
-        print("error: --sample-stride must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     report = gradient_check(model, inputs, labels, h=args.h, tol=args.tolerance,
                             progress=progress, sample_stride=args.sample_stride)
     print(f"checked {report.checked} parameters; "
@@ -225,10 +222,8 @@ def cmd_augment_preview(args):
     return EXIT_OK
 
 
-def _add_spec_flags(p, default_pods=3):
-    p.add_argument("--pods", type=int, default=default_pods)
-    p.add_argument("--base", type=_base_arg, default=resnet_cifar(3),
-                   help="resnet18 or a 6n+2 depth like resnet20")
+def _add_spec_flags(p):
+    p.add_argument("--pods", type=int, default=3)
     p.add_argument("--fusion", choices=sorted(_FUSION_NAMES), default="approach1")
     p.add_argument("--combine", choices=COMBINE_MODES, default="sum")
     p.add_argument("--classes", type=int, default=None)
@@ -253,15 +248,14 @@ def build_parser():
     p = sub.add_parser("count-params", help="print the exact parameter count")
     p.add_argument("--config")
     _add_spec_flags(p)
+    p.add_argument("--base", type=_base_arg, default=resnet_cifar(3),
+                   help="resnet18 or a 6n+2 depth like resnet20")
     p.add_argument("--expect", type=int, help="exit 1 unless the count equals this")
     p.set_defaults(func=cmd_count_params)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of backward")
-    p.add_argument("--pods", type=int, default=3)
+    _add_spec_flags(p)
     p.add_argument("--n", type=int, default=1, help="blocks per stage")
-    p.add_argument("--fusion", choices=sorted(_FUSION_NAMES), default="approach1")
-    p.add_argument("--combine", choices=COMBINE_MODES, default="sum")
-    p.add_argument("--classes", type=int, default=10)
     p.add_argument("--size", type=int, default=8, help="input resolution (max 16)")
     p.add_argument("--batch", type=int, default=2)
     # default chosen so no pre-relu value sits within ~40 FD steps of zero;

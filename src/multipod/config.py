@@ -10,7 +10,7 @@ from functools import partial
 
 from .checks import (ANY, INTEGER, REQUIRED, STRING, FieldError, Kind, Spec, nested, one_of,
                      rule, settle)
-from .data import CIFAR10_SIZE, AugmentationSpec, load_cifar10, synthetic_dataset
+from .data import CIFAR10_SIZE, MAX_IMAGE_SIZE, AugmentationSpec, load_cifar10, synthetic_dataset
 from .models import MAX_CLASSES, MultiPodSpec
 from .training import TrainingSchedule
 
@@ -18,9 +18,7 @@ SCHEMA_VERSION = 1
 
 DATA_KINDS = ("cifar10", "synthetic")
 
-# upper bounds of the synthetic data's sizes
-MAX_SAMPLES = 1_000_000  # data.samples and data.eval_samples
-MAX_IMAGE_SIZE = 1024  # data.size, pixels per side
+MAX_SAMPLES = 1_000_000  # upper bound of data.samples and data.eval_samples
 
 
 class ConfigError(ValueError):

@@ -8,6 +8,7 @@ depend on batch composition or worker scheduling.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,12 +17,11 @@ from .checks import ANY, INTEGER, NUMBER, NUMBERS, FieldError, Spec, nested, one
 
 CIFAR10_MEAN = (0.4914, 0.4822, 0.4465)
 CIFAR10_STD = (0.2023, 0.1994, 0.2010)
-IMAGENET_MEAN = (0.485, 0.456, 0.406)
-IMAGENET_STD = (0.229, 0.224, 0.225)
 
 ROUTINGS = ("identical", "shared-jitter", "per-pod-jitter")
 
 CIFAR10_SIZE = 32  # pixels per side of every dataset image
+MAX_IMAGE_SIZE = 1024  # upper bound of data.size, augmentation.pad and crop_size
 _RECORD_BYTES = 1 + 3 * CIFAR10_SIZE * CIFAR10_SIZE
 _TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
 _TEST_FILES = ("test_batch.bin",)
@@ -76,8 +76,8 @@ class AugmentationSpec(Spec):
     seed: int = 0
 
     FIELDS = (
-        ("pad", INTEGER, rule(lambda pad: pad >= 0, "must be >= 0")),
-        ("crop_size", INTEGER, rule(lambda size: size >= 1, "must be >= 1")),
+        ("pad", INTEGER, rule(lambda pad: pad >= 0, "must be >= 0", MAX_IMAGE_SIZE)),
+        ("crop_size", INTEGER, rule(lambda size: size >= 1, "must be >= 1", MAX_IMAGE_SIZE)),
         ("hflip_prob", NUMBER, rule(lambda p: 0.0 <= p <= 1.0, "must be in [0,1]")),
         ("jitter", nested(JitterSpec, optional=True), None),
         ("normalize.mean", NUMBERS, rule(lambda mean: len(mean) == 3, "must have 3 components")),
@@ -119,6 +119,11 @@ def load_cifar10(root):
     return load_files(_TRAIN_FILES), load_files(_TEST_FILES)
 
 
+# A binary PPM header: "P6", then width, height and maxval, each a decimal
+# number after whitespace that may hold "#" comments, then one whitespace byte.
+_PPM_HEADER = re.compile(rb"P6" + 3 * rb"\s+(?:#[^\n]*\n\s*)*(\d+)" + rb"\s")
+
+
 def read_ppm(path):
     """Binary PPM (P6, maxval 255) to a 3 x H x W float array in [0,1]."""
     try:
@@ -126,30 +131,14 @@ def read_ppm(path):
             raw = f.read()
     except OSError as e:
         raise DataError(f"cannot read image {path}: {e}") from e
-    fields = []
-    pos = 0
-    while len(fields) < 4 and pos < len(raw):
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(raw) and raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    pos += 1  # the single whitespace byte after maxval
-    if len(fields) < 4 or fields[0] != b"P6":
-        raise DataError(f"{path}: not a binary PPM (P6) image")
-    try:
-        w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    except ValueError as e:
-        raise DataError(f"{path}: malformed PPM header") from e
+    header = _PPM_HEADER.match(raw)
+    if header is None:
+        raise DataError(f"{path}: not a binary PPM (P6) image with a decimal header")
+    w, h, maxval = map(int, header.groups())
     if maxval != 255:
         raise DataError(f"{path}: unsupported maxval {maxval} (need 255)")
     need = w * h * 3
-    data = raw[pos:pos + need]
+    data = raw[header.end():header.end() + need]
     if len(data) < need:
         raise DataError(f"{path}: truncated pixel data ({len(data)} of {need} bytes)")
     arr = np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3)

@@ -60,6 +60,9 @@ def finite_differences(model, inputs, labels, h=1e-5, sample_stride=1):
     ``sample_stride``-th scalar is covered. Parameters and BN buffers are
     left as they were on entry.
     """
+    if not (h > 0 and sample_stride >= 1):
+        raise ValueError(f"finite-difference step h must be > 0 and sample_stride >= 1, "
+                         f"got h={h}, sample_stride={sample_stride}")
     store = model.store
     k = model.spec.pods
     with _preserved(store):
@@ -127,14 +130,13 @@ def gradient_check(model, inputs, labels, h=1e-5, tol=1e-5, atol=1e-8, progress=
     so that "error < tol" is exactly the pass condition. A non-finite
     quotient or gradient fails its scalar (error inf). ``sample_stride`` > 1
     checks only every Nth scalar per tensor (smoke-test mode); the default
-    covers everything. Parameters and BN buffers are left bit-identical to
-    their state on entry.
+    covers everything, and a stride < 1 or an ``h`` <= 0 raises ValueError
+    from ``finite_differences``, after the analytic pass. Parameters and BN
+    buffers are left bit-identical to their state on entry.
     """
     store = model.store
     if store.dtype != np.float64:
         raise ValueError("gradient check requires a float64 model")
-    if not h > 0:
-        raise ValueError(f"finite-difference step h must be > 0, got {h}")
 
     floor = atol / tol if tol > 0 else 0.0
     worst_rel = 0.0

@@ -103,11 +103,34 @@ class TrainLogRecord:
     def to_dict(self):
         return asdict(self)
 
+    def line(self):
+        return json.dumps(self.to_dict()) + "\n"
+
     def comparable(self):
         """All fields except wall-time; the unit of the determinism contract."""
         d = asdict(self)
         d.pop("wall_time")
         return d
+
+
+def read_log(path):
+    """The records of the log at ``path``, none if it is missing, less a last line a
+    crash cut short; a line that is not a record raises ValueError naming it."""
+    records = []
+    if os.path.exists(path):
+        with open(path, "rb") as f:
+            lines = [line for line in f if line.endswith(b"\n")]
+        for number, line in enumerate(lines, 1):
+            try:
+                record = TrainLogRecord(**json.loads(line))
+                # JSON numbers read as int or float; NaN and Infinity are floats
+                if type(record.epoch) is not int or not all(
+                        type(v) in (int, float) for v in vars(record).values()):
+                    raise ValueError("epoch must be an integer and every other field a number")
+            except (ValueError, TypeError) as e:
+                raise ValueError(f"{path} line {number}: {e}") from None
+            records.append(record)
+    return records
 
 
 @dataclass
@@ -179,6 +202,19 @@ def evaluate_ten_crop(model, batch, aug, crop_size=None, batch_size=64):
     return _evaluate(model, batch, aug, size, batch_size, ten=True)
 
 
+# A checkpoint is an npz archive: "__meta__" holds the JSON metadata record, and
+# "<prefix>/<name>" each array of a group (prefix, label, arrays by name).
+_GROUPS = (
+    ("param", "parameter", lambda c: c.params),
+    ("momentum", "momentum", lambda c: c.momentum),
+    ("bnmean", "BN mean", lambda c: {n: b[0] for n, b in c.buffers.items()}),
+    ("bnvar", "BN variance", lambda c: {n: b[1] for n, b in c.buffers.items()}),
+)
+# The metadata record's fields beside format_version: Checkpoint attributes and their JSON types
+_META_TYPES = {"spec": dict, "epoch": int, "seed": int, "best_top1": (int, float),
+               "buffers_initialized": dict}
+
+
 @dataclass
 class Checkpoint:
     """Complete training state: enough to evaluate bit-exactly and to resume
@@ -201,6 +237,10 @@ class Checkpoint:
         return Checkpoint(model.spec.to_dict(), store.param_values(), momentum,
                           store.buffer_state(), int(epoch), int(seed), float(best_top1))
 
+    @property
+    def buffers_initialized(self):
+        return {name: bool(b[2]) for name, b in self.buffers.items()}
+
     def check(self, model, seed=None):
         """Raise ``CheckpointError`` unless every parameter, momentum buffer
         and BN buffer matches ``model``'s by name and shape and, given
@@ -210,19 +250,14 @@ class Checkpoint:
         if self.spec != model.spec.to_dict():
             raise CheckpointError(
                 f"checkpoint spec mismatch: saved {self.spec}, model {model.spec.to_dict()}")
-        store = model.store
-        params = {n: t.data.shape for n, t in store.items()}
-        channels = {n: b.mean.shape for n, b in store.buffers()}
-        for kind, saved, shapes in (
-                ("parameter", self.params, params), ("momentum", self.momentum, params),
-                ("BN mean", {n: b[0] for n, b in self.buffers.items()}, channels),
-                ("BN variance", {n: b[1] for n, b in self.buffers.items()}, channels)):
-            got = {n: np.shape(a) for n, a in saved.items()}
-            for name in sorted(got.keys() | shapes.keys()):
-                if got.get(name) != shapes.get(name):
+        expected = Checkpoint.from_model(model, 0, 0, 0.0)
+        for _, label, arrays in _GROUPS:
+            got, want = ({n: np.shape(a) for n, a in arrays(c).items()} for c in (self, expected))
+            for name in sorted(got.keys() | want.keys()):
+                if got.get(name) != want.get(name):
                     raise CheckpointError(
-                        f"checkpoint {kind} {name!r}: saved {got.get(name, 'nothing')}, "
-                        f"model expects {shapes.get(name, 'nothing')}")
+                        f"checkpoint {label} {name!r}: saved {got.get(name, 'nothing')}, "
+                        f"model expects {want.get(name, 'nothing')}")
 
     def apply(self, model, seed=None):
         """Load this state into ``model``, which stays as it was unless the
@@ -253,69 +288,50 @@ def write_atomically(path, write, mode="w"):
 
 def save_checkpoint(ckpt, path):
     """Write ``ckpt`` to ``path`` atomically (see ``write_atomically``)."""
-    meta = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "spec": ckpt.spec,
-        "epoch": ckpt.epoch,
-        "seed": ckpt.seed,
-        "best_top1": ckpt.best_top1,
-        "buffers_initialized": {n: bool(b[2]) for n, b in ckpt.buffers.items()},
-    }
-    arrays = {"__meta__": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    for name, a in ckpt.params.items():
-        arrays[f"param/{name}"] = a
-    for name, a in ckpt.momentum.items():
-        arrays[f"momentum/{name}"] = a
-    for name, (mean, var, _) in ckpt.buffers.items():
-        arrays[f"bnmean/{name}"] = mean
-        arrays[f"bnvar/{name}"] = var
+    meta = {"format_version": CHECKPOINT_FORMAT_VERSION,
+            **{key: getattr(ckpt, key) for key in _META_TYPES}}
+    members = {"__meta__": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
+    members.update((f"{prefix}/{name}", a)
+                   for prefix, _, arrays in _GROUPS for name, a in arrays(ckpt).items())
     # a file handle, so numpy does not append an extension to the name
-    write_atomically(path, lambda f: np.savez(f, **arrays), "wb")
+    write_atomically(path, lambda f: np.savez(f, **members), "wb")
 
 
 def load_checkpoint(path):
+    """The checkpoint saved at ``path``. A file that is missing or breaks the
+    layout ``save_checkpoint`` writes raises CheckpointError naming it."""
     if not os.path.isfile(path):
         raise CheckpointError(f"checkpoint not found: {path}")
     try:
         with np.load(path, allow_pickle=False) as z:
-            if "__meta__" not in z.files:
-                raise CheckpointError(f"{path}: missing metadata record")
             meta = json.loads(bytes(z["__meta__"]).decode())
-            version = meta.get("format_version")
+            version = meta.pop("format_version", None) if isinstance(meta, dict) else None
             if version != CHECKPOINT_FORMAT_VERSION:
                 raise CheckpointError(
                     f"{path}: format version {version}, expected {CHECKPOINT_FORMAT_VERSION}")
-            params = {}
-            momentum = {}
-            means = {}
-            variances = {}
+            wrong = sorted(key for key in meta.keys() | _META_TYPES.keys() if isinstance(
+                meta.get(key), bool) or not isinstance(meta.get(key), _META_TYPES.get(key, ())))
+            if wrong:
+                raise ValueError(f"metadata {', '.join(wrong)}: missing, unknown or mistyped")
+            groups = {prefix: {} for prefix, *_ in _GROUPS}
             for key in z.files:
-                if key.startswith("param/"):
-                    params[key[len("param/"):]] = z[key]
-                elif key.startswith("momentum/"):
-                    momentum[key[len("momentum/"):]] = z[key]
-                elif key.startswith("bnmean/"):
-                    means[key[len("bnmean/"):]] = z[key]
-                elif key.startswith("bnvar/"):
-                    variances[key[len("bnvar/"):]] = z[key]
+                prefix, _, name = key.partition("/")
+                if key != "__meta__":
+                    if prefix not in groups:
+                        raise ValueError(f"member {key!r} is in no array group")
+                    groups[prefix][name] = z[key]
+            params, momentum, means, variances = groups.values()
             flags = meta["buffers_initialized"]
-            buffers = {n: (means[n], variances[n], bool(flags[n])) for n in means}
-    except CheckpointError:
-        raise
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile, json.JSONDecodeError) as e:
+            if not means.keys() == variances.keys() == flags.keys() or not all(
+                    isinstance(flag, bool) for flag in flags.values()):
+                raise ValueError("BN means, BN variances and boolean buffers_initialized "
+                                 "flags must name the same layers")
+            ckpt = Checkpoint(meta["spec"], params, momentum,
+                              {n: (means[n], variances[n], flags[n]) for n in means},
+                              meta["epoch"], meta["seed"], float(meta["best_top1"]))
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as e:
         raise CheckpointError(f"corrupt checkpoint {path}: {e}") from e
-    return Checkpoint(meta["spec"], params, momentum, buffers,
-                      int(meta["epoch"]), int(meta["seed"]), float(meta["best_top1"]))
-
-
-def _truncate_log(path, epoch):
-    # Keep only the log records of epochs before ``epoch``, written whole:
-    # a line cut short by a crash is dropped too.
-    kept = []
-    if epoch > 0 and os.path.exists(path):
-        with open(path) as f:
-            kept = [line for line in f if line.endswith("\n") and json.loads(line)["epoch"] < epoch]
-    write_atomically(path, lambda f: f.writelines(kept))
+    return ckpt
 
 
 @dataclass
@@ -354,7 +370,9 @@ def train(model, train_batch, eval_batch, schedule, aug, out_dir=None,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         log_path = os.path.join(out_dir, "train_log.jsonl")
-        _truncate_log(log_path, start_epoch)
+        # keep only the records of epochs before the start, written whole
+        kept = [r for r in read_log(log_path) if r.epoch < start_epoch] if start_epoch else []
+        write_atomically(log_path, lambda f: f.writelines(r.line() for r in kept))
         log_file = open(log_path, "a")
 
     n = len(train_batch)
@@ -392,7 +410,7 @@ def train(model, train_batch, eval_batch, schedule, aug, out_dir=None,
                                     wall_time=time.time() - t0)
             records.append(record)
             if log_file is not None:
-                log_file.write(json.dumps(record.to_dict()) + "\n")
+                log_file.write(record.line())
                 log_file.flush()
             ckpt = Checkpoint.from_model(model, epoch + 1, seed, max(best_top1, ev.top1))
             if ev.top1 > best_top1:

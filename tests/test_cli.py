@@ -2,6 +2,8 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
+import shutil
 import subprocess
 import sys
 
@@ -16,6 +18,7 @@ from multipod.models import (CIFAR_FAMILY, MAX_BLOCKS, MAX_CLASSES, MAX_PODS, Mu
                              PodBaseSpec, count_params, resnet_cifar)
 from multipod.training import MAX_BATCH_SIZE, MAX_EPOCHS, TrainingSchedule
 from test_data import fake_cifar_dir
+from test_training import BAD_CHECKPOINTS, BAD_LOG_LINES
 
 ROOT = pathlib.Path(__file__).parents[1]
 SHIPPED_CONFIGS = sorted((ROOT / "configs").glob("*.json")) + [ROOT / "perfbench" / "tripod.json"]
@@ -105,7 +108,9 @@ BOUNDS = [("model.pods", MAX_PODS, {"model.seeds": None}), ("model.n", MAX_BLOCK
           ("data.classes", MAX_CLASSES, {"model.classes": MAX_CLASSES}),
           ("data.samples", MAX_SAMPLES, {}), ("data.size", MAX_IMAGE_SIZE, {}),
           ("data.eval_samples", MAX_SAMPLES, {}), ("schedule.epochs", MAX_EPOCHS, {}),
-          ("schedule.batch_size", MAX_BATCH_SIZE, {})]
+          ("schedule.batch_size", MAX_BATCH_SIZE, {}),
+          ("augmentation.pad", MAX_IMAGE_SIZE, {}),
+          ("augmentation.crop_size", MAX_IMAGE_SIZE, {"augmentation.pad": 504})]
 
 
 class TestCountParams:
@@ -553,6 +558,74 @@ class TestEval:
         cfg, out_dir = trained_run
         assert main(["eval", "--checkpoint", str(out_dir / "gone.ckpt"),
                      "--config", cfg]) == 2
+
+
+@pytest.fixture(scope="module")
+def one_epoch_run(tmp_path_factory):
+    # a run of a two-epoch config stopped after its first epoch
+    tmp = tmp_path_factory.mktemp("one-epoch")
+    cfg = write_config(tmp, out_dir=str(tmp / "run"))
+    assert main(["train", "--config", cfg, "--epochs", "1"]) == 0
+    return cfg, tmp / "run"
+
+
+def refused_resume(cfg, out_dir, capsys):
+    """The one error line of a ``--resume`` into ``out_dir`` that must be
+    refused before any file there changes."""
+    capsys.readouterr()
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert main(["train", "--config", cfg, "--resume", "--output-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+    [line] = captured.err.splitlines()
+    return line
+
+
+@pytest.mark.parametrize("edit,message", BAD_CHECKPOINTS.values(), ids=BAD_CHECKPOINTS.keys())
+def test_checkpoint_that_breaks_the_layout_is_one_error_line(one_epoch_run, tmp_path, capsys,
+                                                             edit, message):
+    cfg, run = one_epoch_run
+    out_dir = shutil.copytree(run, tmp_path / "run")
+    edit(out_dir / "last.ckpt")
+    lines = [refused_resume(cfg, out_dir, capsys)]
+    assert main(["eval", "--checkpoint", str(out_dir / "last.ckpt"), "--config", cfg]) == 2
+    lines += capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert line.startswith("error: ") and str(out_dir / "last.ckpt") in line
+        assert re.search(message, line)
+
+
+@pytest.mark.parametrize("bad,message", BAD_LOG_LINES.values(), ids=BAD_LOG_LINES.keys())
+def test_log_line_that_is_not_a_record_is_one_error_line(one_epoch_run, tmp_path, capsys,
+                                                         bad, message):
+    cfg, run = one_epoch_run
+    out_dir = shutil.copytree(run, tmp_path / "run")
+    with open(out_dir / "train_log.jsonl", "a") as f:
+        f.write(bad + "\n")
+    line = refused_resume(cfg, out_dir, capsys)
+    assert line.startswith(f"error: {out_dir / 'train_log.jsonl'} line 2: ")
+    assert re.search(message, line)
+
+
+# PPM files whose header breaks the grammar
+BAD_PPM_HEADERS = {"width-minus": b"P6\n-4 4\n255\n", "width-plus": b"P6\n+4 4\n255\n",
+                   "no-maxval": b"P6\n4 4\n"}
+
+
+@pytest.mark.parametrize("header", BAD_PPM_HEADERS.values(), ids=BAD_PPM_HEADERS.keys())
+def test_ppm_header_that_breaks_the_grammar_is_refused(tmp_path, capsys, header):
+    path = tmp_path / "x.ppm"
+    path.write_bytes(header + bytes(48))
+    refusal = f"{path}: not a binary PPM (P6) image with a decimal header"
+    with pytest.raises(DataError) as e:
+        read_ppm(path)
+    assert str(e.value) == refusal
+    out = tmp_path / "views"
+    assert main(["augment-preview", "--image", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {refusal}"]
+    assert not out.exists()
 
 
 class TestPpm:

@@ -79,3 +79,12 @@ def test_non_finite_gradient_fails_and_nonpositive_step_is_rejected():
     assert not report.passed
     assert report.failures == [name for name, _ in model.store.items()]
     assert report.worst_rel == np.inf
+
+
+@pytest.mark.parametrize("stride", [0, -3])
+def test_sample_stride_below_one_is_rejected(stride):
+    model, inputs, labels = small_model()
+    with pytest.raises(ValueError, match="sample_stride >= 1"):
+        gradient_check(model, inputs, labels, sample_stride=stride)
+    with pytest.raises(ValueError, match="sample_stride >= 1"):
+        next(finite_differences(model, inputs, labels, sample_stride=stride))

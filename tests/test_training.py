@@ -12,7 +12,7 @@ from multipod.data import AugmentationSpec, ImageBatch, synthetic_dataset
 from multipod.models import (APPROACH1, APPROACH2, MultiPodSpec, ParamStore,
                              build_multipod, resnet_cifar)
 from multipod.training import (Checkpoint, CheckpointError, NumericalAbort,
-                               TrainingSchedule, evaluate_center_crop,
+                               TrainingSchedule, TrainLogRecord, evaluate_center_crop,
                                evaluate_ten_crop, load_checkpoint, lr_at_epoch,
                                save_checkpoint, sgd_step, train)
 from oracles import softmax_oracle, ten_crop_views_oracle
@@ -405,6 +405,85 @@ class TestCheckpointRoundTrip:
             np.savez(f, __meta__=np.frombuffer(meta, dtype=np.uint8))
         with pytest.raises(CheckpointError, match="format version 99"):
             load_checkpoint(path)
+
+
+def rewrite_checkpoint(meta_edit=lambda meta: meta, members_edit=lambda members: members):
+    """An edit that rewrites a checkpoint file with its metadata record and
+    its array members passed through the given functions."""
+    def edit(path):
+        with np.load(path) as z:
+            members = {key: z[key] for key in z.files}
+        meta = meta_edit(json.loads(bytes(members.pop("__meta__")).decode()))
+        with open(path, "wb") as f:
+            np.savez(f, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                     **members_edit(members))
+    return edit
+
+
+def without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+# checkpoint files that break the layout: (edit of a good file, what the refusal says)
+BAD_CHECKPOINTS = {
+    **{f"no-{key}": (rewrite_checkpoint(lambda meta, key=key: without(meta, key)),
+                     f"metadata {key}: missing, unknown or mistyped")
+       for key in ("spec", "epoch", "seed", "best_top1", "buffers_initialized")},
+    "meta-list": (rewrite_checkpoint(lambda meta: [meta]), "format version None, expected 1"),
+    "epoch-x": (rewrite_checkpoint(lambda meta: {**meta, "epoch": "x"}),
+                "metadata epoch: missing, unknown or mistyped"),
+    "bnvar-alone": (rewrite_checkpoint(members_edit=lambda members: without(
+        members, min(key for key in members if key.startswith("bnmean/")))),
+                    "must name the same layers"),
+    "flag-string": (rewrite_checkpoint(lambda meta: {**meta, "buffers_initialized": dict.fromkeys(
+        meta["buffers_initialized"], "yes")}), "must name the same layers"),
+    "stray-member": (rewrite_checkpoint(members_edit=lambda members: {
+        **members, "stray": np.zeros(1)}), "member 'stray' is in no array group"),
+    "empty-file": (lambda path: open(path, "wb").close(), "corrupt checkpoint"),
+}
+
+
+@pytest.mark.parametrize("edit,message", BAD_CHECKPOINTS.values(), ids=BAD_CHECKPOINTS.keys())
+def test_checkpoint_that_breaks_the_layout_is_refused(tmp_path, edit, message):
+    model, _, _, aug = tiny_setup()
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(Checkpoint.from_model(model, 1, aug.seed, 0.5), path)
+    load_checkpoint(path)
+    edit(path)
+    with pytest.raises(CheckpointError, match=message) as e:
+        load_checkpoint(path)
+    assert str(path) in str(e.value)
+
+
+GOOD_RECORD = TrainLogRecord(epoch=0, lr=0.05, train_loss=1.25, train_acc=0.5, eval_loss=1.5,
+                             eval_top1=0.25, eval_top5=0.75, wall_time=0.125)
+
+# whole log lines that are not records: (line, what the refusal says)
+BAD_LOG_LINES = {
+    "list": ("[1]", "must be a mapping"),
+    "empty-object": ("{}", "missing 8 required"),
+    "no-eval_top1": (json.dumps(without(GOOD_RECORD.to_dict(), "eval_top1")), "eval_top1"),
+    "epoch-x": (json.dumps({**GOOD_RECORD.to_dict(), "epoch": "x"}), "epoch must be an integer"),
+}
+
+
+@pytest.mark.parametrize("line,message", BAD_LOG_LINES.values(), ids=BAD_LOG_LINES.keys())
+def test_log_line_that_is_not_a_record_is_refused(tmp_path, line, message):
+    path = tmp_path / "train_log.jsonl"
+    path.write_text(GOOD_RECORD.line() + line + "\n")
+    with pytest.raises(ValueError, match=message) as e:
+        training.read_log(path)
+    assert str(e.value).startswith(f"{path} line 2: ")
+
+
+def test_log_reads_back_what_it_writes(tmp_path):
+    # a NaN eval loss is a record too; a last line cut short by a crash is not
+    nan_loss = dataclasses.replace(GOOD_RECORD, epoch=1, eval_loss=float("nan"))
+    path = tmp_path / "train_log.jsonl"
+    path.write_text(GOOD_RECORD.line() + nan_loss.line() + '{"epoch": 2, "lr"')
+    records = training.read_log(path)
+    assert [r.line() for r in records] == [GOOD_RECORD.line(), nan_loss.line()]
+    assert training.read_log(tmp_path / "absent.jsonl") == []
 
 
 class TestTrainLoop:
