@@ -120,8 +120,9 @@ def load_cifar10(root):
 
 
 # A binary PPM header: "P6", then width, height and maxval, each a decimal
-# number after whitespace that may hold "#" comments, then one whitespace byte.
-_PPM_HEADER = re.compile(rb"P6" + 3 * rb"\s+(?:#[^\n]*\n\s*)*(\d+)" + rb"\s")
+# number of at most nine digits after whitespace that may hold "#" comments,
+# then one whitespace byte.
+_PPM_HEADER = re.compile(rb"P6" + 3 * rb"\s+(?:#[^\n]*\n\s*)*(\d{1,9})" + rb"\s")
 
 
 def read_ppm(path):

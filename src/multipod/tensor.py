@@ -34,16 +34,23 @@ assume no leading axis, so ``_result`` refuses to record a graph through
 one (``StateError``).
 
 Threads: every op, backward closure and ``Tensor.backward`` runs on the
-thread that calls it. Only ``conv2d`` uses more than one, inside each of
-its passes: it splits the images into contiguous ranges of whole unfold
-chunks, one per usable core and at least two chunks each, runs the first
-range on the calling thread
-and the others on a module-level pool of cores - 1 threads, and returns
-once every range has finished. Each range unfolds into its own buffers and
-writes its own slice of the output; the weight gradient's per-chunk
-partials are summed on the calling thread in chunk order, so the bits do
-not depend on the number of cores. Pool work never calls back into an op,
-so calls never nest.
+thread that calls it. Inside their passes, ``conv2d``, ``batch_norm2d`` and
+relu's backward use every usable core: each pass splits the images into
+contiguous ranges of whole chunks, one range per core, runs the first on
+the calling thread and the others on a module-level pool of cores - 1
+threads, and returns once every range has finished. A pass with fewer
+than two chunks a range (four for relu's one cheap pass) stays on the
+caller, and so do the replica axis and criterion 2's tiny float64 passes.
+Each range writes its own slice of the output or gradient. What a pass
+sums over images is summed per chunk (conv's weight gradient) or per image
+(batch norm's per-channel sums), and those partials are added on the
+calling thread in order, so the bits do not depend on the number of cores.
+Batch norm's running buffers and every ``_accumulate`` stay on the caller.
+Pool work never calls back into an op, so calls never nest. On a 2-core VM
+(numpy 2.4.6, OpenBLAS 0.3.31) splitting batch norm and relu's mask took a
+traced tripod training call's batch norm from 1.12 to 0.59 s and relu's
+backward from 0.088 to 0.065 s, and the call from 25.1 to 29.9 img/s at
+nominal speed (35.2 to 40.7 img/s by the wall clock).
 """
 
 from __future__ import annotations
@@ -270,8 +277,14 @@ def relu(x):
     def backward(g):
         # out > 0 exactly where x > 0; the closure holds the output array,
         # not its tensor, so the node makes no reference cycle. g is masked
-        # in place and handed over.
-        g *= out > 0
+        # in place, over ranges of images, and handed over. The mask is one
+        # cheap pass, so a range takes four chunks (2 MiB) or more: on a
+        # 2-core VM a 2 MiB mask ran 0.86x on two threads, 4 MiB 1.15x and
+        # 8 MiB 1.4x.
+        g1, out1 = np.atleast_1d(g, out)
+        def mask(lo, hi):
+            g1[lo:hi] *= out1[lo:hi] > 0
+        _in_ranges(len(g1), _chunk(g1), mask, least=4)
         _accumulate(x, g, owned=True)
     return _result(out, (x,), backward, "relu")
 
@@ -306,15 +319,21 @@ def _conv_extent(x_shape, w_shape, stride, padding):
 # still in cache when its GEMM reads it.
 _CONV_CHUNK_BYTES = 1 << 20
 
-# Conv splits its chunks into one contiguous range per usable core; the
-# calling thread runs the first range and this pool the others. Threads are
-# started on first use.
+# Batch norm walks its arrays a chunk of images at a time, of about this
+# many bytes, so that each of a chunk's passes finds it still in cache; relu's
+# backward counts its ranges in the same chunks. On a 2-core VM batch norm
+# ran fastest at 512 KiB, against 256 KiB and 1 MiB.
+_CHUNK_BYTES = 1 << 19
+
+# Conv, batch norm and relu's backward split their chunks into one
+# contiguous range per usable core; the calling thread runs the first range
+# and this pool the others. Threads are started on first use.
 _CORES = len(os.sched_getaffinity(0))
 
 
 def _start_pool():
     global _POOL
-    _POOL = ThreadPoolExecutor(max(1, _CORES - 1), thread_name_prefix="conv2d")
+    _POOL = ThreadPoolExecutor(max(1, _CORES - 1), thread_name_prefix="multipod")
 
 
 _start_pool()
@@ -323,23 +342,39 @@ _start_pool()
 os.register_at_fork(after_in_child=_start_pool)
 
 
-def _in_ranges(b, n, work):
-    # [work(lo, hi)] over contiguous ranges lo:hi of the b images, each
-    # whole n-image chunks but the last, one range per core but at least
-    # two chunks per range: on a 2-core VM a pass of two or three chunks
-    # ran 0.84-0.98x on two threads, its hand-over costing more than it
-    # saved. An exception is raised only once every range has finished.
+def _in_ranges(b, n, work, least=2):
+    # [work(lo, hi)] over contiguous ranges lo:hi of b images, each whole
+    # n-image chunks but the last, one range per core but at least ``least``
+    # chunks per range, so that a pass too small to gain stays on the caller:
+    # on a 2-core VM a conv pass of two or three chunks ran 0.84-0.98x on two
+    # threads, its hand-over costing more than it saved. Each range runs in
+    # the caller's context, so np.errstate holds in it too. An exception is
+    # raised only once every range has finished.
     chunks = -(-b // n)
-    parts = min(_CORES, chunks // 2)
+    parts = min(_CORES, chunks // least)
     if parts <= 1:
         return [work(0, b)]
     bounds = [min(b, n * (i * chunks // parts)) for i in range(parts + 1)]
-    futures = [_POOL.submit(work, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    futures = [_POOL.submit(contextvars.copy_context().run, work, lo, hi)
+               for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
         first = work(bounds[0], bounds[1])
     finally:
         wait(futures)
     return [first] + [f.result() for f in futures]
+
+
+def _chunk(a):
+    # the number of a's images (first-axis entries) in about _CHUNK_BYTES
+    return max(1, _CHUNK_BYTES * len(a) // a.nbytes)
+
+
+def _in_chunks(step, a):
+    # step(slice(lo, hi)) over chunks lo:hi of a's images, in ranges as
+    # ``_in_ranges`` splits them
+    n = _chunk(a)
+    _in_ranges(len(a), n, lambda lo, hi: [step(slice(i, min(i + n, hi)))
+                                           for i in range(lo, hi, n)])
 
 
 def _placed(count, offset, spacing, size):
@@ -616,60 +651,131 @@ def batch_norm2d(x, gamma, beta, buffers, training):
         raise ShapeError(f"gamma/beta must have shape ({c},)")
     leading = x.data.ndim == 5 or gamma.data.ndim == 2 or beta.data.ndim == 2
     n = b * h * w
-    axes = (-4, -2, -1)
+    xs = x.data
+    if training and n < 2:
+        raise ValueError(f"training-mode batch norm needs B*H*W >= 2, got {n}")
+    if not training and not buffers.initialized:
+        raise StateError("eval-mode batch norm before any training update of running stats")
+
+    # Each pass runs a step over chunks of the images (``_in_chunks``), or
+    # over all of them (index ...) where they make one chunk or carry a
+    # replica axis. Over chunks, each per-channel sum is taken per image,
+    # into (..., B, C) partials, which the caller adds over the images in
+    # image order: the bits of numpy's whole-array reduction, which one
+    # chunk takes, since it sums each image's channel plane as one run and
+    # adds the runs in image order. Each per-channel operand of a chunked
+    # pass is spread over a whole C x H x W image, so that an elementwise
+    # pass walks a chunk as one contiguous run, about twice as fast as with
+    # a broadcast C x 1 x 1 view.
+    add = np.add.reduce  # ndarray.sum without its Python wrapper
+    if leading or b <= _chunk(xs):
+        def run(step):
+            step(...)
+        axes, images, per_channel = (-4, -2, -1), (), _channels
+    else:
+        def run(step):
+            _in_chunks(step, xs)
+
+        def per_channel(v):
+            image = np.empty((c, h, w), v.dtype)
+            image[...] = v[:, None, None]
+            return image
+        axes, images = (-2, -1), (b,)
+
+    def total(parts):
+        return add(parts, axis=-2) if images else parts
+
+    def statistic(parts):
+        # divided as ndarray.mean and ndarray.var divide
+        s = total(parts)
+        np.true_divide(s, np.intp(n), out=s, casting="unsafe")
+        return s
 
     if training:
-        if n < 2:
-            raise ValueError(f"training-mode batch norm needs B*H*W >= 2, got {n}")
-        mean = x.data.mean(axis=axes, keepdims=True)
-        out = x.data - mean
-        # ndarray.var's own steps on the centred x, so its bits
-        var = np.square(out).sum(axis=axes, keepdims=True)
-        np.true_divide(var, np.intp(n), out=var, casting="unsafe")
-        if not leading:
-            buffers.mean = (1.0 - BN_MOMENTUM) * buffers.mean + BN_MOMENTUM * mean.reshape(c)
-            buffers.var = ((1.0 - BN_MOMENTUM) * buffers.var
-                           + BN_MOMENTUM * (var.reshape(c) * n / (n - 1)))
-            buffers.initialized = True
+        # per-channel sums of x, then of its centred squares
+        parts = np.empty((2,) + xs.shape[:-4] + images + (c,), xs.dtype)
+        run(lambda i: add(xs[i], axis=axes, out=parts[0, i]))
+        mean = statistic(parts[0])
     else:
-        if not buffers.initialized:
-            raise StateError("eval-mode batch norm before any training update of running stats")
-        mean, var = _channels(buffers.mean), _channels(buffers.var)
-        out = x.data - mean
+        mean = buffers.mean
+        inv_c = per_channel(1.0 / np.sqrt(buffers.var + BN_EPS))
+    mean_c, gamma_c, beta_c = per_channel(mean), per_channel(gamma.data), per_channel(beta.data)
 
     # gamma * ((x - mean) * inv_std) + beta in the centred buffer, or in a
     # new one where a replicated gamma or beta widens it
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    out *= inv_std
-    gamma_c, beta_c = _channels(gamma.data), _channels(beta.data)
-    shape = np.broadcast_shapes(out.shape, gamma_c.shape, beta_c.shape)
-    out = np.multiply(gamma_c, out, out=out if shape == out.shape else np.empty(shape, out.dtype))
-    out += beta_c
+    centred = out = np.empty(xs.shape, np.result_type(xs, mean))
+    if leading and xs.ndim == 4:
+        out = np.empty(np.broadcast_shapes(xs.shape, gamma_c.shape, beta_c.shape), out.dtype)
+
+    def scale(i):
+        s, o = centred[i], out[i]
+        s *= inv_c
+        np.multiply(gamma_c, s, out=o)
+        o += beta_c
+
+    def centre(i):
+        s = np.subtract(xs[i], mean_c, out=centred[i])
+        if not training:
+            return scale(i)
+        # ndarray.var's own steps on the centred x, so its bits
+        add(np.square(s), axis=axes, out=parts[1, i])
+
+    run(centre)
+    if training:
+        var = statistic(parts[1])
+        if not leading:
+            buffers.mean = (1.0 - BN_MOMENTUM) * buffers.mean + BN_MOMENTUM * mean
+            buffers.var = (1.0 - BN_MOMENTUM) * buffers.var + BN_MOMENTUM * (var * n / (n - 1))
+            buffers.initialized = True
+        inv_c = per_channel(1.0 / np.sqrt(var + BN_EPS))
+        run(scale)
 
     def backward(g):
         # dx = (inv_std / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
-        # in this operation order, written into g and two scratch buffers;
-        # xhat is recomputed rather than held for the graph's lifetime
-        xhat = x.data - mean
-        xhat *= inv_std
-        prod = g * xhat
-        _accumulate(gamma, prod.sum(axis=axes))
-        _accumulate(beta, g.sum(axis=axes))
-        if not x.requires_grad:
-            return
-        g *= _channels(gamma.data)  # dxhat
-        if training:
-            # Full derivative through the batch statistics.
-            s1 = g.sum(axis=axes, keepdims=True)
-            s2 = np.multiply(g, xhat, out=prod).sum(axis=axes, keepdims=True)
-            g *= n
-            g -= s1
-            xhat *= s2
-            g -= xhat
-            g *= inv_std / n
-        else:
-            g *= inv_std
-        _accumulate(x, g, owned=True)
+        # in this operation order, written into g; xhat is recomputed a
+        # chunk at a time rather than held for the graph's lifetime
+        through = training and x.requires_grad
+        # per-channel sums of g * xhat and g, and through the batch
+        # statistics of dxhat and dxhat * xhat
+        parts = np.empty((4 if through else 2,) + images + (c,), g.dtype)
+
+        def normalized(i):
+            xhat = xs[i] - mean_c
+            xhat *= inv_c
+            return xhat
+
+        def reduce(i):
+            gs, xhat = g[i], normalized(i)
+            prod = gs * xhat
+            add(prod, axis=axes, out=parts[0, i])
+            add(gs, axis=axes, out=parts[1, i])
+            if not x.requires_grad:
+                return
+            gs *= gamma_c  # dxhat
+            if not training:
+                gs *= inv_c
+                return
+            add(gs, axis=axes, out=parts[2, i])
+            add(np.multiply(gs, xhat, out=prod), axis=axes, out=parts[3, i])
+
+        def through_statistics(i):
+            gs = g[i]
+            gs *= n
+            gs -= s1_c
+            xhat = normalized(i)
+            xhat *= s2_c
+            gs -= xhat
+            gs *= scale_c
+
+        run(reduce)
+        dgamma, dbeta, *s = total(parts)
+        _accumulate(gamma, dgamma)
+        _accumulate(beta, dbeta)
+        if through:
+            s1_c, s2_c, scale_c = per_channel(s[0]), per_channel(s[1]), inv_c / n
+            run(through_statistics)
+        if x.requires_grad:
+            _accumulate(x, g, owned=True)
 
     return _result(out, (x, gamma, beta), backward, "batch_norm2d", leading)
 

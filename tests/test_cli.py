@@ -611,7 +611,8 @@ def test_log_line_that_is_not_a_record_is_one_error_line(one_epoch_run, tmp_path
 
 # PPM files whose header breaks the grammar
 BAD_PPM_HEADERS = {"width-minus": b"P6\n-4 4\n255\n", "width-plus": b"P6\n+4 4\n255\n",
-                   "no-maxval": b"P6\n4 4\n"}
+                   "no-maxval": b"P6\n4 4\n",
+                   "width-5000-digits": b"P6\n" + b"9" * 5000 + b" 4\n255\n"}
 
 
 @pytest.mark.parametrize("header", BAD_PPM_HEADERS.values(), ids=BAD_PPM_HEADERS.keys())

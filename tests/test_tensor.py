@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 import multipod.tensor as T
 import multipod.training as training
 from multipod.data import AugmentationSpec, synthetic_dataset
+from multipod.gradcheck import gradient_check
 from multipod.models import APPROACH1, MultiPodSpec, build_multipod, resnet_cifar
 from oracles import (batch_norm2d_exprs, batch_norm_train_oracle, concat, conv2d_oracle,
                      fd_gradient, max_pool_oracle, relu_where, softmax_oracle,
@@ -158,6 +159,26 @@ class TestRelu:
         once = T.relu(x).data
         assert np.array_equal(T.relu(T.Tensor(once)).data, once)
 
+    def test_mask_ranges_give_the_bits_of_one(self, rng, monkeypatch):
+        # one image a chunk and four chunks a range: 9 images split 4 | 5
+        x = rng.standard_normal((9, 3, 5, 5)).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        x[0, 0, 0, :4] = x[8, 2, 4, :4] = [np.nan, -0.0, -np.inf, np.inf]
+        g[0, 0, 0, :4] = g[8, 2, 4, :4] = [np.inf, -1.0, np.nan, -2.0]
+        monkeypatch.setattr(T, "_CHUNK_BYTES", 1)
+        submitted = count_submits(monkeypatch)
+        grads = []
+        for cores in (2, 1):
+            monkeypatch.setattr(T, "_CORES", cores)
+            xt = T.Tensor(x, requires_grad=True)
+            with np.errstate(invalid="ignore"):
+                T.relu(xt)._backward(g.copy())
+            grads.append(xt.grad)
+            assert len(submitted) == 1
+        with np.errstate(invalid="ignore"):
+            want = g * (relu_where(x) > 0)
+        assert grads[0].tobytes() == grads[1].tobytes() == want.tobytes()
+
 
 class TestLinear:
     def test_matches_manual_product(self, rng):
@@ -301,7 +322,8 @@ class TestConvChunks:
 
 
 def count_submits(monkeypatch):
-    # the number of ranges conv2d hands to its pool from here on
+    # the ranges conv, batch norm and relu's backward hand to the pool from
+    # here on
     submitted = []
     submit = T._POOL.submit
     monkeypatch.setattr(T._POOL, "submit", lambda *a: submitted.append(a) or submit(*a))
@@ -377,6 +399,19 @@ class TestConvSplit:
             T._in_ranges(6, 1, work)
         assert sorted(finished) == [lo for lo in (0, 2, 4) if lo != failing]
 
+    def test_a_range_on_the_pool_keeps_the_callers_errstate(self, monkeypatch):
+        # two ranges of two one-image chunks; the pool's (lo 2) divides 0 by 0
+        monkeypatch.setattr(T, "_CORES", 2)
+        submitted = count_submits(monkeypatch)
+
+        def work(lo, hi):
+            if lo:
+                np.divide(np.zeros(1), np.zeros(1))
+
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            T._in_ranges(4, 1, work)
+        assert len(submitted) == 1
+
     def test_a_forked_child_runs_conv(self, monkeypatch):
         # the child inherits the pool's queue but none of its threads
         monkeypatch.setattr(T, "_CORES", 2)
@@ -397,12 +432,16 @@ class TestConvSplit:
         # perfbench's tracer keeps one span stack, sound only while every
         # op, backward closure, Tensor.backward and make_pod_inputs runs on
         # the thread that called train()
-        threads = []
+        threads, running = [], []
 
         def on_caller(name, fn):
             def call(*args, **kwargs):
                 threads.append((name, threading.get_ident()))
-                out = fn(*args, **kwargs)
+                running.append(name)
+                try:
+                    out = fn(*args, **kwargs)
+                finally:
+                    running.pop()
                 if isinstance(out, T.Tensor) and out._backward is not None:
                     out._backward = on_caller(name + ".backward", out._backward)
                 return out
@@ -415,20 +454,41 @@ class TestConvSplit:
         monkeypatch.setattr(T.Tensor, "backward", on_caller("backward", T.Tensor.backward))
         monkeypatch.setattr(training, "make_pod_inputs",
                             on_caller("make_pod_inputs", training.make_pod_inputs))
-        # one image per chunk, so every conv pass hands ranges to the pool
+        # one image per chunk, so every conv, batch-norm and relu-mask pass
+        # hands ranges to the pool; each is recorded with the op it ran in
         monkeypatch.setattr(T, "_CORES", 2)
         monkeypatch.setattr(T, "_CONV_CHUNK_BYTES", 1)
-        submitted = count_submits(monkeypatch)
+        monkeypatch.setattr(T, "_CHUNK_BYTES", 1)
+        submitted = []
+        submit = T._POOL.submit
+        monkeypatch.setattr(T._POOL, "submit",
+                            lambda *a: submitted.append((running[-1], a)) or submit(*a))
 
         data = synthetic_dataset(3, 8, 8, seed=0)
         model = build_multipod(MultiPodSpec(pods=2, base=resnet_cifar(1), classes=3))
-        schedule = training.TrainingSchedule(base_lr=0.05, milestones=(), epochs=1, batch_size=4)
+        schedule = training.TrainingSchedule(base_lr=0.05, milestones=(), epochs=1, batch_size=8)
         training.train(model, data, data, schedule,
                        AugmentationSpec(pad=1, crop_size=8, routing="per-pod-jitter"))
         names = {name for name, _ in threads}
-        assert {"conv2d", "conv2d.backward", "backward", "make_pod_inputs"} <= names
-        assert submitted
+        assert {"conv2d", "conv2d.backward", "batch_norm2d", "batch_norm2d.backward",
+                "relu.backward", "backward", "make_pod_inputs"} <= names
+        assert {"conv2d", "conv2d.backward", "batch_norm2d",
+                "batch_norm2d.backward", "relu.backward"} <= {op for op, _ in submitted}
         assert {ident for _, ident in threads} == {threading.get_ident()}
+
+    def test_criterion_2_passes_submit_nothing(self, monkeypatch):
+        # the gradient check's float64 passes, 2 x C x 8 x 8 and smaller and
+        # their stacks of perturbed copies, are too small to gain from a core
+        monkeypatch.setattr(T, "_CORES", 2)
+        submitted = count_submits(monkeypatch)
+        spec = MultiPodSpec(pods=3, base=resnet_cifar(1), fusion=APPROACH1, classes=10)
+        model = build_multipod(spec, dtype=np.float64)
+        rng = np.random.default_rng(2701)
+        inputs = [T.Tensor(rng.normal(0.0, 1.0, (2, 3, 8, 8)), dtype=np.float64)
+                  for _ in range(3)]
+        report = gradient_check(model, inputs, rng.integers(0, 10, size=2), sample_stride=397)
+        assert report.passed and report.checked > 0
+        assert submitted == []
 
 
 class TestMaxPool:
@@ -751,6 +811,35 @@ class TestBatchNormBits:
         tensor_sum(T.mul(out, T.Tensor(g))).backward()
         for got, ref in zip((out.data, xt.grad, gt.grad, bt.grad), want):
             assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", [(24, 16, 32, 32), (24, 32, 16, 16), (24, 64, 8, 8)])
+    def test_ranges_give_the_bits_of_one(self, rng, monkeypatch, shape, training):
+        # one image a chunk, so that on two cores every pass splits into two
+        # ranges: three in a training forward, one in an eval forward and
+        # two in a training backward, one in an eval backward
+        x, gamma, beta = self.operands(rng, shape)
+        g = rng.standard_normal(shape).astype(np.float32)
+        running = self.eval_buffers(rng, shape[1])
+        want = batch_norm2d_exprs(x, gamma, beta, g, None if training else
+                                  (running.mean, running.var))
+        monkeypatch.setattr(T, "_CHUNK_BYTES", 1)
+        submitted = count_submits(monkeypatch)
+        results = []
+        for cores in (2, 1):
+            monkeypatch.setattr(T, "_CORES", cores)
+            buffers = T.BNBuffers(shape[1])
+            if not training:
+                buffers.mean, buffers.var, buffers.initialized = running.mean, running.var, True
+            xt, gt, bt = (T.Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+            out = T.batch_norm2d(xt, gt, bt, buffers, training)
+            out._backward(g.copy())
+            results.append((out.data, xt.grad, gt.grad, bt.grad, buffers.mean, buffers.var))
+            assert len(submitted) == (5 if training else 2)
+        for split, whole in zip(*results):
+            assert split.tobytes() == whole.tobytes()
+        for got, ref in zip(results[0], want):
             assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("training", [True, False])
