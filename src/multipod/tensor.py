@@ -41,22 +41,28 @@ the calling thread and the others on a module-level pool of cores - 1
 threads, and returns once every range has finished. A pass with fewer
 than two chunks a range (four for relu's one cheap pass) stays on the
 caller, and so do the replica axis and criterion 2's tiny float64 passes.
-Each range writes its own slice of the output or gradient. What a pass
-sums over images is summed per chunk (conv's weight gradient) or per image
-(batch norm's per-channel sums), and those partials are added on the
-calling thread in order, so the bits do not depend on the number of cores.
-Batch norm's running buffers and every ``_accumulate`` stay on the caller.
-Pool work never calls back into an op, so calls never nest. On a 2-core VM
-(numpy 2.4.6, OpenBLAS 0.3.31) splitting batch norm and relu's mask took a
-traced tripod training call's batch norm from 1.12 to 0.59 s and relu's
-backward from 0.088 to 0.065 s, and the call from 25.1 to 29.9 img/s at
-nominal speed (35.2 to 40.7 img/s by the wall clock).
+Each range writes its own slice of the output or gradient; a strided
+conv's input gradient runs all its stride phases in one pass, each chunk
+phase after phase. What a pass sums over images is summed per chunk
+(conv's weight gradient) or per image (batch norm's per-channel sums), and
+those partials are added on the calling thread in order, so the bits do
+not depend on the number of cores. Batch norm's running buffers and every
+``_accumulate`` stay on the caller. Pool work never calls back into an op
+or into ``_in_ranges``: a range that handed ranges to the pool from a pool
+thread could wait on work queued behind itself. On a 2-core VM (numpy
+2.4.6, OpenBLAS 0.3.31, batch 128, float32) the input gradient of the 3x3
+stride-2 16 -> 32 conv at 32x32 took 12 ms by stride phase against 29 ms as
+one adjoint conv over the upsampled output gradient, and the weight
+gradient of the 3x3 16 -> 16 conv 13.6 ms as col @ g^T against 20.7 ms as
+g @ col^T (medians of 20 calls).
 """
 
 from __future__ import annotations
 
 import contextvars
+import itertools
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 
@@ -377,80 +383,121 @@ def _in_chunks(step, a):
                                            for i in range(lo, hi, n)])
 
 
-def _placed(count, offset, spacing, size):
-    # (source, frame) slices along one axis: sample i sits at offset +
-    # spacing * i, and samples outside [0, size) are dropped.
-    lo = max(0, -(offset // spacing))
-    hi = max(lo, min(count, -((offset - size) // spacing)))
-    return slice(lo, hi), slice(offset + spacing * lo, offset + spacing * hi, spacing)
+def _placed(count, offset, size):
+    # (source, frame) slices along one axis: sample i sits at offset + i, and
+    # samples outside [0, size) are dropped.
+    lo = max(0, -offset)
+    hi = max(lo, min(count, size - offset))
+    return slice(lo, hi), slice(offset + lo, offset + hi)
 
 
-def _each_chunk(step, x, kh, kw, stride, out_h, out_w, offsets, spacing=1):
-    # [step(lo, hi, col)] in chunk order over chunks of the images of x
-    # (..., B, C, H, W), col (..., hi - lo, C*kH*kW, outH*outW) being images
-    # lo:hi unfolded. A chunk is unfolded from a zero frame of the extent
-    # the taps read, holding its samples ``spacing`` cells apart from
-    # ``offsets`` (top, left) on: spacing 1 frames a padded image, spacing
-    # s the stride-s upsampling that a strided conv's adjoint convolves.
-    # Each range of chunks (``_in_ranges``) reuses its own buffers: col is
-    # valid until step returns.
+def _each_chunk(x, unfolds):
+    # [step(lo, hi, col)] over chunks lo:hi of the images of x (..., B, C, H,
+    # W), in chunk order and, within a chunk, in the order of ``unfolds``,
+    # each a (step, kH, kW, stride, outH, outW, (top, left)) whose col (...,
+    # hi - lo, C*kH*kW, outH*outW) is images lo:hi unfolded. An unfold reads
+    # a frame of the extent its taps read, with x's samples from (top, left)
+    # on and zeros where it has none (padding, or a stride phase's margin);
+    # a frame at (0, 0) that fits in x is x itself. A chunk's cols, over all
+    # unfolds, take about _CONV_CHUNK_BYTES. Each range of chunks
+    # (``_in_ranges``) reuses its own buffers: col is valid until step returns.
     x = np.ascontiguousarray(x)  # each chunk is a strided view of its buffer
     *lead, b, c, h, w = x.shape
-    n = min(b, max(1, _CONV_CHUNK_BYTES // (
-        math.prod(lead) * c * kh * kw * out_h * out_w * x.itemsize)))
-    rows, cols = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
-    framed = spacing != 1 or any(offsets)
-    if framed:
-        src_h, dst_h = _placed(h, offsets[0], spacing, rows + kh - 1)
-        src_w, dst_w = _placed(w, offsets[1], spacing, cols + kw - 1)
+    n = min(b, max(1, _CONV_CHUNK_BYTES // (math.prod(lead) * c * x.itemsize * sum(
+        [kh * kw * out_h * out_w for _, kh, kw, _, out_h, out_w, _ in unfolds]))))
 
-    def run(lo, hi):
-        if framed:
+    def unfolder(kh, kw, stride, out_h, out_w, offsets):
+        # one range's buffers for an unfold, and the function that fills them
+        rows, cols = stride * (out_h - 1) + kh, stride * (out_w - 1) + kw
+        src = x
+        if any(offsets) or rows > h or cols > w:
             # the zeros are written once; each chunk overwrites the same samples
-            frame = np.zeros((*lead, n, c, rows + kh - 1, cols + kw - 1), x.dtype)
+            src = np.zeros((*lead, n, c, rows, cols), x.dtype)
+            (src_h, dst_h), (src_w, dst_w) = (_placed(h, offsets[0], rows),
+                                              _placed(w, offsets[1], cols))
         col = np.empty((*lead, n, c, kh, kw, out_h, out_w), x.dtype)
-        done = []
-        for a in range(lo, hi, n):
-            m = min(n, hi - a)
-            src, start = x, a * x.strides[-4]
-            if framed:
-                frame[..., :m, :, dst_h, dst_w] = x[..., a:a + m, :, src_h, src_w]
-                src, start = frame, 0
+        sh, sw = src.strides[-2:]
+
+        def unfold(a, m):
+            start = a * x.strides[-4]
+            if src is not x:
+                src[..., :m, :, dst_h, dst_w] = x[..., a:a + m, :, src_h, src_w]
+                start = 0
             chunk = col[..., :m, :, :, :, :, :]
             # one copy of a view of images a:a + m whose last four axes step
             # through the taps and the output positions
-            *_, sh, sw = src.strides
-            chunk[...] = np.ndarray(chunk.shape, src.dtype, src, start,
+            chunk[...] = np.ndarray(chunk.shape, x.dtype, src, start,
                                     src.strides + (stride * sh, stride * sw))
-            done.append(step(a, a + m, chunk.reshape(*lead, m, c * kh * kw, out_h * out_w)))
-        return done
+            return chunk.reshape(*lead, m, c * kh * kw, out_h * out_w)
+        return unfold
+
+    def run(lo, hi):
+        steps = [(u[0], unfolder(*u[1:])) for u in unfolds]
+        return [step(a, min(a + n, hi), unfold(a, min(n, hi - a)))
+                for a in range(lo, hi, n) for step, unfold in steps]
 
     return [r for part in _in_ranges(b, n, run) for r in part]
 
 
-def _conv_forward(x, w_mat, kh, kw, stride, out_h, out_w, offsets, spacing=1):
-    # x (..., B, C, H, W), framed as ``_each_chunk`` frames it, cross-correlated
-    # with w_mat (..., F, C*kH*kW): one GEMM per image, and per replica,
-    # written straight into the NCHW output (..., B, F, outH, outW).
-    lead = np.broadcast_shapes(x.shape[:-4], w_mat.shape[:-2])
-    b, f = x.shape[-4], w_mat.shape[-2]
-    out = np.empty((*lead, b, f, out_h * out_w), np.result_type(x, w_mat))
-    w_mat = w_mat[..., None, :, :]
-    _each_chunk(lambda lo, hi, col: np.matmul(w_mat, col, out=out[..., lo:hi, :, :]),
-                x, kh, kw, stride, out_h, out_w, offsets, spacing)
-    return out.reshape(*lead, b, f, out_h, out_w)
+def _phases(k, size, stride, padding):
+    # (r, taps, count, extent, offset) per stride phase r of one axis of a
+    # conv's input gradient: its samples r, r + s, ... (``extent`` of them)
+    # are reached by the ``count`` taps ``taps`` of the kernel, and each is a
+    # stride-1 correlation of the output gradient, framed from ``offset``
+    # on, with those taps reversed.
+    for r in range(min(stride, size)):
+        taps = range((r + padding) % stride, k, stride)
+        yield (r, slice(taps.start, None, stride), len(taps), len(range(r, size, stride)),
+               len(taps) - 1 - (r + padding) // stride)
 
 
 def _conv_input_grad(g, weight, x_shape, stride, padding):
-    # d(loss)/d(input) of a 4-D conv, given the output gradient g: the
-    # adjoint conv (Dumoulin & Visin 2016), g with its samples ``stride``
-    # cells apart from k - 1 - padding on, convolved at stride 1 with the
-    # flipped kernels, in and out channels swapped.
-    c, h, w = x_shape[-3:]
+    # d(loss)/d(input) of a 4-D conv, given the output gradient g, by stride
+    # phase (Dumoulin & Visin 2016): dx[..., r::s, q::s] is a stride-1 conv
+    # of g with the taps that reach it, w[:, :, a::s, b::s] for a = (r +
+    # padding) mod s and b = (q + padding) mod s, flipped, in and out
+    # channels swapped. So dx costs the forward's multiply-adds; a phase that
+    # no tap reaches is zero. All phases of a chunk of images run in one
+    # ``_each_chunk`` pass, so a dx is one split over the cores.
+    b, c, h, w = x_shape
     kh, kw = weight.shape[-2:]
-    w_flip = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-    return _conv_forward(g, w_flip, kh, kw, 1, h, w, (kh - 1 - padding, kw - 1 - padding),
-                         stride)
+    phases = list(_phases(kh, h, stride, padding)), list(_phases(kw, w, stride, padding))
+    # where some phase has no taps, dx starts as zeros: one contiguous pass,
+    # against a strided one per empty phase
+    empty = not all(count for axis in phases for _, _, count, _, _ in axis)
+    dx = (np.zeros if empty else np.empty)(x_shape, g.dtype)
+    unfolds = []
+    for (r, rows, th, uh, top), (q, cols, tw, uw, left) in itertools.product(*phases):
+        if th and tw:
+            w_phase = weight[:, :, rows, cols][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            step = _phase_step(w_phase.reshape(1, c, -1), dx[:, :, r::stride, q::stride])
+            unfolds.append((step, th, tw, 1, uh, uw, (top, left)))
+    if unfolds:
+        _each_chunk(g, unfolds)
+    return dx
+
+
+def _phase_step(w_phase, target):
+    # writes images lo:hi of one phase of dx from their unfolded output gradient
+    b, c, uh, uw = target.shape
+    if target.flags.c_contiguous:  # stride 1: the one phase is the whole of dx
+        flat = target.reshape(b, c, uh * uw)
+        return lambda lo, hi, col: np.matmul(w_phase, col, out=flat[lo:hi])
+
+    def step(lo, hi, col):
+        target[lo:hi] = np.matmul(w_phase, col).reshape(hi - lo, c, uh, uw)
+    return step
+
+
+def _count(name, value, least):
+    # stride and padding: an integer, not a bool, of at least ``least``
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < least or isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+    return count
 
 
 def conv2d(x, weight, stride=1, padding=0):
@@ -458,10 +505,7 @@ def conv2d(x, weight, stride=1, padding=0):
 
     Bias-free; output spatial extent is floor((H + 2*padding - kH)/stride) + 1.
     """
-    if not isinstance(stride, int) or stride < 1:
-        raise ValueError(f"stride must be a positive int, got {stride}")
-    if padding < 0:
-        raise ValueError(f"padding must be >= 0, got {padding}")
+    stride, padding = _count("stride", stride, 1), _count("padding", padding, 0)
     if x.data.ndim not in (4, 5) or weight.data.ndim not in (4, 5):
         raise ShapeError("conv2d expects 4D (or replicated 5D) input and weight")
     if x.data.ndim == weight.data.ndim == 5 and x.data.shape[0] != weight.data.shape[0]:
@@ -469,6 +513,7 @@ def conv2d(x, weight, stride=1, padding=0):
     leading = x.data.ndim == 5 or weight.data.ndim == 5
     kh, kw = weight.data.shape[-2:]
     out_h, out_w = _conv_extent(x.data.shape, weight.data.shape, stride, padding)
+    framing = (kh, kw, stride, out_h, out_w, (padding, padding))
     w_mat = weight.data.reshape(weight.data.shape[:-3] + (-1,))
     if not leading:
         # OpenBLAS multiplies small untransposed operands with a small-matrix
@@ -477,21 +522,30 @@ def conv2d(x, weight, stride=1, padding=0):
         # kernel, whose bits are those of one whole-batch GEMM. (Replicas keep
         # the small-matrix kernel: their tiny GEMMs run faster there.)
         w_mat = np.ascontiguousarray(w_mat.T).T
-    out = _conv_forward(x.data, w_mat, kh, kw, stride, out_h, out_w, (padding, padding))
+    # one GEMM per image, and per replica, written straight into the NCHW
+    # output (..., B, F, outH, outW)
+    lead = x.data.shape[:-4] or weight.data.shape[:-4]  # (R,) or ()
+    b, f = x.data.shape[-4], w_mat.shape[-2]
+    out = np.empty((*lead, b, f, out_h * out_w), np.result_type(x.data, w_mat))
+    w_mat = w_mat[..., None, :, :]
+    _each_chunk(x.data, [(lambda lo, hi, col: np.matmul(w_mat, col, out=out[..., lo:hi, :, :]),
+                          *framing)])
 
     def backward(g):
         if weight.requires_grad:
-            g_mat = g.reshape(g.shape[0], g.shape[1], -1)
-            # the per-chunk partials, summed here in chunk order
-            dw = sum(_each_chunk(
-                lambda lo, hi, col: np.matmul(g_mat[lo:hi], col.swapaxes(-1, -2)).sum(axis=0),
-                x.data, kh, kw, stride, out_h, out_w, (padding, padding)))
-            _accumulate(weight, dw.reshape(weight.data.shape), owned=True)
+            # dW transposed, (C*kH*kW) x F, as col @ g^T per image: OpenBLAS
+            # runs this tall form faster than g @ col^T at these shapes. Each
+            # chunk sums its images; the partials are summed here in chunk order.
+            g_t = g.reshape(g.shape[0], g.shape[1], -1).swapaxes(-1, -2)
+            dw_t = sum(_each_chunk(
+                x.data, [(lambda lo, hi, col: np.matmul(col, g_t[lo:hi]).sum(axis=0), *framing)]))
+            _accumulate(weight, dw_t.T.reshape(weight.data.shape), owned=True)
         if x.requires_grad:
             _accumulate(x, _conv_input_grad(g, weight.data, x.data.shape, stride, padding),
                         owned=True)
 
-    return _result(out, (x, weight), backward, "conv2d", leading)
+    return _result(out.reshape(*lead, b, f, out_h, out_w), (x, weight), backward, "conv2d",
+                   leading)
 
 
 def max_pool2d(x, kernel, stride, padding=0):

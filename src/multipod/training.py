@@ -164,6 +164,7 @@ def _crop_views(pixels, size, ten):
 def _evaluate(model, batch, aug, size, batch_size, ten):
     # The scoring loop of both protocols. One view scores by its float32
     # logits; ten views by the float64 mean of their softmax probabilities.
+    # A batch's views run as one forward, view after view.
     if len(batch) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     classes = model.spec.classes
@@ -172,11 +173,11 @@ def _evaluate(model, batch, aug, size, batch_size, ten):
     for lo in range(0, len(batch), batch_size):
         labels = batch.labels[lo:lo + batch_size]
         rows = np.arange(len(labels))
-        logits = []
-        for view in _crop_views(batch.pixels[lo:lo + batch_size], size, ten):
-            pods = make_pod_inputs(view, aug, model.spec.pods, train=False)
-            with T.no_grad():
-                logits.append(model.forward([T.Tensor(p) for p in pods], training=False).data)
+        views = np.concatenate(list(_crop_views(batch.pixels[lo:lo + batch_size], size, ten)))
+        pods = make_pod_inputs(views, aug, model.spec.pods, train=False)
+        with T.no_grad():
+            logits = model.forward([T.Tensor(p) for p in pods], training=False).data
+        logits = logits.reshape(-1, len(labels), classes)
         if ten:
             scores = sum(np.exp(T.log_softmax(z.astype(np.float64))) for z in logits) / 10.0
             nll = -np.log(np.clip(scores[rows, labels], 1e-12, None))

@@ -50,6 +50,43 @@ def conv2d_oracle(x, w, stride=1, padding=0):
     return out
 
 
+def conv2d_input_grad_oracle(g, w, x_shape, stride=1, padding=0):
+    """d(loss)/d(input) of a conv given its output gradient g: each output
+    cell scatters g times every tap's weight back onto the padded input
+    cell that tap read, and the padding is cut off."""
+    b, c, h, wd = x_shape
+    f, _, kh, kw = w.shape
+    dxp = np.zeros((b, c, h + 2 * padding, wd + 2 * padding), dtype=g.dtype)
+    for oi in range(g.shape[2]):
+        for oj in range(g.shape[3]):
+            for ki in range(kh):
+                for kj in range(kw):
+                    dxp[:, :, oi * stride + ki, oj * stride + kj] += (
+                        g[:, :, oi, oj] @ w[:, :, ki, kj])
+    return dxp[:, :, padding:padding + h, padding:padding + wd]
+
+
+def conv2d_weight_grad_oracle(x, g, stride=1, padding=0, kernel=(3, 3)):
+    """d(loss)/d(weight) of a conv as ``g @ col.T`` per image, summed in
+    image order from zero; col (C*kH*kW, outH*outW) is the image's padded
+    input unfolded tap by tap."""
+    b, c, h, wd = x.shape
+    f, oh, ow = g.shape[1:]
+    kh, kw = kernel
+    xp = np.zeros((b, c, h + 2 * padding, wd + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + wd] = x
+    dw = 0
+    for bi in range(b):
+        col = np.empty((c, kh, kw, oh * ow), dtype=x.dtype)
+        for ci in range(c):
+            for ki in range(kh):
+                for kj in range(kw):
+                    col[ci, ki, kj] = xp[bi, ci, ki:ki + stride * oh:stride,
+                                         kj:kj + stride * ow:stride].reshape(-1)
+        dw = dw + g[bi].reshape(f, -1) @ col.reshape(c * kh * kw, -1).T
+    return dw.reshape(f, c, kh, kw)
+
+
 def batch_norm_train_oracle(x, gamma, beta, eps=1e-5):
     """Per-channel normalization over (B, H, W) with biased batch variance."""
     out = np.empty_like(x)

@@ -14,7 +14,8 @@ import multipod.training as training
 from multipod.data import AugmentationSpec, synthetic_dataset
 from multipod.gradcheck import gradient_check
 from multipod.models import APPROACH1, MultiPodSpec, build_multipod, resnet_cifar
-from oracles import (batch_norm2d_exprs, batch_norm_train_oracle, concat, conv2d_oracle,
+from oracles import (batch_norm2d_exprs, batch_norm_train_oracle, concat,
+                     conv2d_input_grad_oracle, conv2d_oracle, conv2d_weight_grad_oracle,
                      fd_gradient, max_pool_oracle, relu_where, softmax_oracle,
                      softmax_xent_oracle, tensor_sum)
 
@@ -231,6 +232,22 @@ class TestConv2d:
         with pytest.raises(ValueError):
             T.conv2d(t64(np.ones((1, 1, 4, 4))), t64(np.ones((1, 1, 3, 3))), stride=0)
 
+    @pytest.mark.parametrize("name,value", [
+        ("stride", 1.5), ("stride", 2.0), ("stride", True), ("stride", "2"),
+        ("stride", np.bool_(True)), ("stride", None), ("padding", -1), ("padding", 1.5),
+        ("padding", True), ("padding", False), ("padding", np.float64(1.0))])
+    def test_stride_and_padding_take_one_rule(self, name, value):
+        x, w = t64(np.ones((1, 1, 4, 4))), t64(np.ones((1, 1, 3, 3)))
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+            T.conv2d(x, w, **{name: value})
+
+    @pytest.mark.parametrize("stride,padding", [(np.int64(2), np.int32(1)), (np.uint8(1), 0)])
+    def test_numpy_integers_are_counts(self, rng, stride, padding):
+        x, w = t64(rng.normal(size=(2, 2, 5, 5))), t64(rng.normal(size=(3, 2, 3, 3)))
+        got = T.conv2d(x, w, stride=stride, padding=padding).data
+        want = T.conv2d(x, w, stride=int(stride), padding=int(padding)).data
+        assert got.tobytes() == want.tobytes()
+
     def test_spec_shape_case_matches_oracle(self, rng):
         x = rng.normal(size=(2, 3, 8, 8))
         w = rng.normal(size=(4, 3, 3, 3))
@@ -319,6 +336,75 @@ class TestConvChunks:
         value = lambda: float(loss().data)
         assert_grad_close(fd_gradient(value, x.data), x.grad)
         assert_grad_close(fd_gradient(value, w.data), w.grad)
+
+
+# (C, F, H, kernel, stride, padding) of each conv in resnet20: the stem, the
+# three stages' 3x3 convs, and the stride-2 3x3 and 1x1 projection at the
+# head of stages 2 and 3
+RESNET20_CONVS = [(3, 16, 32, 3, 1, 1), (16, 16, 32, 3, 1, 1), (16, 32, 32, 3, 2, 1),
+                  (16, 32, 32, 1, 2, 0), (32, 32, 16, 3, 1, 1), (32, 64, 16, 3, 2, 1),
+                  (32, 64, 16, 1, 2, 0), (64, 64, 8, 3, 1, 1)]
+
+
+class TestConvBackward:
+    """A strided conv's input gradient runs one stride-1 conv per stride
+    phase, and the weight gradient one (C*kH*kW x HW)(HW x F) GEMM per image."""
+
+    @staticmethod
+    def grads(x, w, s, p, g):
+        xt, wt = T.Tensor(x, requires_grad=True), T.Tensor(w, requires_grad=True)
+        T.conv2d(xt, wt, stride=s, padding=p)._backward(g.copy())
+        return xt.grad, wt.grad
+
+    # (kH, kW, stride, padding, H, W): stride 3; kernels smaller than the
+    # stride, so that some phases have no taps; padding as wide as the
+    # kernel or wider; a non-square kernel; odd sides; a side shorter than
+    # the stride; the imagenet stem
+    @pytest.mark.parametrize("kh,kw,s,p,h,w", [
+        (3, 3, 3, 1, 8, 8), (3, 3, 1, 1, 7, 7), (1, 1, 2, 0, 7, 7), (2, 2, 3, 0, 8, 7),
+        (1, 1, 2, 1, 5, 6), (3, 3, 2, 3, 7, 7), (2, 3, 3, 2, 4, 5), (3, 2, 2, 1, 7, 9),
+        (1, 1, 3, 0, 2, 2), (7, 7, 2, 3, 11, 11)])
+    @pytest.mark.parametrize("chunk_bytes", [None, 1])
+    def test_input_grad_matches_scatter_oracle(self, rng, monkeypatch, kh, kw, s, p, h, w,
+                                               chunk_bytes):
+        # chunk_bytes 1 runs one image a chunk, split over two ranges
+        monkeypatch.setattr(T, "_CORES", 2)
+        if chunk_bytes:
+            monkeypatch.setattr(T, "_CONV_CHUNK_BYTES", chunk_bytes)
+        b, c, f = 5, 2, 3
+        x, wt = rng.normal(size=(b, c, h, w)), rng.normal(size=(f, c, kh, kw))
+        g = rng.normal(size=(b, f, (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1))
+        dx, _ = self.grads(x, wt, s, p, g)
+        np.testing.assert_allclose(dx, conv2d_input_grad_oracle(g, wt, x.shape, s, p),
+                                   rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("c,f,h,k,s,p", RESNET20_CONVS)
+    def test_resnet20_grads_take_the_bits_of_one_core(self, monkeypatch, c, f, h, k, s, p):
+        rng = np.random.default_rng(c * f + k * s)
+        x = rng.standard_normal((128, c, h, h), dtype=np.float32)
+        w = rng.standard_normal((f, c, k, k), dtype=np.float32)
+        o = (h + 2 * p - k) // s + 1
+        g = rng.standard_normal((128, f, o, o), dtype=np.float32)
+        # at the package's chunk size; a pass of fewer than four chunks (the
+        # 1x1 projections' dW, and at 32 -> 64 their dx) stays on one core
+        monkeypatch.setattr(T, "_CORES", 2)
+        split = self.grads(x, w, s, p, g)
+        monkeypatch.setattr(T, "_CORES", 1)
+        whole = self.grads(x, w, s, p, g)
+        for got, want in zip(split, whole):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("c,f,h,k,s,p", RESNET20_CONVS)
+    def test_weight_grad_has_the_bits_of_per_image_products(self, monkeypatch, c, f, h, k, s, p):
+        # one image a chunk, so the images are summed in order from zero
+        monkeypatch.setattr(T, "_CONV_CHUNK_BYTES", 1)
+        rng = np.random.default_rng(c + f + h)
+        x = rng.standard_normal((3, c, h, h), dtype=np.float32)
+        w = rng.standard_normal((f, c, k, k), dtype=np.float32)
+        o = (h + 2 * p - k) // s + 1
+        g = rng.standard_normal((3, f, o, o), dtype=np.float32)
+        _, dw = self.grads(x, w, s, p, g)
+        assert dw.tobytes() == conv2d_weight_grad_oracle(x, g, s, p, (k, k)).tobytes()
 
 
 def count_submits(monkeypatch):
