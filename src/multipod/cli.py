@@ -183,6 +183,8 @@ def cmd_gradcheck(args):
 
 
 def cmd_eval(args):
+    if args.crop_size is not None and args.protocol == "center":
+        raise ValueError("--crop-size applies only to --protocol tencrop")
     ckpt = load_checkpoint(args.checkpoint)
     cfg = load_config(args.config)
     model = build_multipod(cfg.model)
@@ -198,6 +200,8 @@ def cmd_eval(args):
 
 
 def cmd_augment_preview(args):
+    if args.index < 0:
+        raise ValueError(f"--index {args.index} must be >= 0")
     if args.image is not None:
         img = read_ppm(args.image)
     else:

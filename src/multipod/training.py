@@ -26,6 +26,10 @@ CHECKPOINT_FORMAT_VERSION = 1
 MAX_EPOCHS = 100_000
 MAX_BATCH_SIZE = 65_536
 
+# The most crop views one eval forward holds: 256 images of the center crop,
+# 25 of ten-crop, so a forward's activations stay bounded whatever the protocol.
+EVAL_VIEWS_PER_FORWARD = 256
+
 # Shuffle streams share the (seed, epoch, index) keying of per-sample
 # augmentation streams; this tag keeps them disjoint from any sample index.
 _SHUFFLE_TAG = 0xFFFFFFFF
@@ -151,6 +155,8 @@ def _crop_views(pixels, size, ten):
     with ``ten`` the four corners and the center, each followed by its
     horizontal flip."""
     h, w = pixels.shape[-2:]
+    if size < 1:
+        raise ValueError(f"crop size {size} must be >= 1")
     if size > h or size > w:
         raise ValueError(f"crop size {size} exceeds image size {(h, w)}")
     corners = [(0, 0), (0, w - size), (h - size, 0), (h - size, w - size)] if ten else []
@@ -161,19 +167,21 @@ def _crop_views(pixels, size, ten):
             yield view[..., ::-1]
 
 
-def _evaluate(model, batch, aug, size, batch_size, ten):
+def _evaluate(model, batch, aug, size, ten):
     # The scoring loop of both protocols. One view scores by its float32
     # logits; ten views by the float64 mean of their softmax probabilities.
-    # A batch's views run as one forward, view after view.
+    # A forward holds the views of as many whole images as fit in
+    # EVAL_VIEWS_PER_FORWARD, concatenated view after view.
     if len(batch) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     classes = model.spec.classes
+    images = EVAL_VIEWS_PER_FORWARD // (10 if ten else 1)
     hits1 = hits5 = 0
     loss_sum = 0.0
-    for lo in range(0, len(batch), batch_size):
-        labels = batch.labels[lo:lo + batch_size]
+    for lo in range(0, len(batch), images):
+        labels = batch.labels[lo:lo + images]
         rows = np.arange(len(labels))
-        views = np.concatenate(list(_crop_views(batch.pixels[lo:lo + batch_size], size, ten)))
+        views = np.concatenate(list(_crop_views(batch.pixels[lo:lo + images], size, ten)))
         pods = make_pod_inputs(views, aug, model.spec.pods, train=False)
         with T.no_grad():
             logits = model.forward([T.Tensor(p) for p in pods], training=False).data
@@ -191,16 +199,16 @@ def _evaluate(model, batch, aug, size, batch_size, ten):
     return EvalResult(hits1 / n, hits5 / n, loss_sum / n)
 
 
-def evaluate_center_crop(model, batch, aug, batch_size=256):
+def evaluate_center_crop(model, batch, aug):
     """Deterministic single-crop evaluation; returns top-1/top-5/mean loss."""
-    return _evaluate(model, batch, aug, aug.crop_size, batch_size, ten=False)
+    return _evaluate(model, batch, aug, aug.crop_size, ten=False)
 
 
-def evaluate_ten_crop(model, batch, aug, crop_size=None, batch_size=64):
+def evaluate_ten_crop(model, batch, aug, crop_size=None):
     """Four corners + center, each with its horizontal flip; softmax
     probabilities averaged over the 10 views, prediction from the mean."""
     size = aug.crop_size if crop_size is None else crop_size
-    return _evaluate(model, batch, aug, size, batch_size, ten=True)
+    return _evaluate(model, batch, aug, size, ten=True)
 
 
 # A checkpoint is an npz archive: "__meta__" holds the JSON metadata record, and

@@ -609,6 +609,27 @@ def test_log_line_that_is_not_a_record_is_one_error_line(one_epoch_run, tmp_path
     assert re.search(message, line)
 
 
+@pytest.mark.parametrize("crop_size", ["-3", "0"])
+def test_ten_crop_below_one_pixel_is_one_error_line(one_epoch_run, capsys, crop_size):
+    cfg, run = one_epoch_run
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "last.ckpt"), "--config", cfg,
+                 "--protocol", "tencrop", "--crop-size", crop_size]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: crop size {crop_size} must be >= 1"]
+
+
+def test_crop_size_with_center_protocol_is_refused(one_epoch_run, capsys):
+    cfg, run = one_epoch_run
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "last.ckpt"), "--config", cfg,
+                 "--crop-size", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: --crop-size applies only to --protocol tencrop")
+
+
 # PPM files whose header breaks the grammar
 BAD_PPM_HEADERS = {"width-minus": b"P6\n-4 4\n255\n", "width-plus": b"P6\n+4 4\n255\n",
                    "no-maxval": b"P6\n4 4\n",
@@ -711,6 +732,12 @@ class TestAugmentPreview:
         assert main(["augment-preview", "--image", str(src), "--out", str(out),
                      "--pods", "1", "--routing", "identical"]) == 0
         assert (out / "original.ppm").read_bytes() == src.read_bytes()
+
+    def test_negative_index_rejected(self, tmp_path, capsys):
+        out = tmp_path / "views"
+        assert main(["augment-preview", "--index", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: --index -1 must be >= 0"]
+        assert not out.exists()
 
     def test_unreadable_image_rejected(self, tmp_path, capsys):
         assert main(["augment-preview", "--image", str(tmp_path / "missing.ppm"),

@@ -249,15 +249,25 @@ class TestTenCropEval:
         with pytest.raises(ValueError):
             evaluate_ten_crop(ConstantModel(np.zeros(3)), batch, identity_aug(4))
 
+    @pytest.mark.parametrize("crop_size", [-3, 0])
+    def test_crop_below_one_rejected(self, crop_size):
+        batch = random_batch(2, 4, classes=3, seed=14)
+        with pytest.raises(ValueError, match=f"^crop size {crop_size} must be >= 1$"):
+            evaluate_ten_crop(ConstantModel(np.zeros(3)), batch, identity_aug(4),
+                              crop_size=crop_size)
+
 
 class TestScoringLoop:
-    @pytest.mark.parametrize("evaluate", [evaluate_center_crop, evaluate_ten_crop],
+    # views per forward that split 10 images into forwards of 3
+    @pytest.mark.parametrize("evaluate,views", [(evaluate_center_crop, 3),
+                                                (evaluate_ten_crop, 30)],
                              ids=["center", "tencrop"])
-    def test_batch_size_does_not_change_result(self, evaluate):
+    def test_batch_size_does_not_change_result(self, evaluate, views, monkeypatch):
         batch = random_batch(10, 6, classes=6, seed=6)
         model = ProjectionModel(4, 6, seed=7)
-        a = evaluate(model, batch, identity_aug(4), batch_size=3)
-        b = evaluate(model, batch, identity_aug(4), batch_size=256)
+        b = evaluate(model, batch, identity_aug(4))
+        monkeypatch.setattr(training, "EVAL_VIEWS_PER_FORWARD", views)
+        a = evaluate(model, batch, identity_aug(4))
         assert a.top1 == b.top1 and a.top5 == b.top5
         assert np.isclose(a.loss, b.loss, rtol=1e-6)  # BLAS grouping jitter only
 
@@ -276,11 +286,29 @@ class TestScoringLoop:
         train(model, train_batch, eval_batch, sched, aug)
         assert calls == [True, False]  # one step, then one center-crop eval batch
         calls.clear()
-        evaluate_center_crop(model, eval_batch, aug, batch_size=3)
+        monkeypatch.setattr(training, "EVAL_VIEWS_PER_FORWARD", 3)
+        evaluate_center_crop(model, eval_batch, aug)
         assert calls == [False] * 2
         calls.clear()
-        evaluate_ten_crop(model, eval_batch, aug, crop_size=12, batch_size=3)
+        monkeypatch.setattr(training, "EVAL_VIEWS_PER_FORWARD", 30)
+        evaluate_ten_crop(model, eval_batch, aug, crop_size=12)
         assert calls == [False] * 2  # a batch's ten views in one call
+
+    def test_no_forward_holds_more_than_256_views(self):
+        rows = []
+
+        class Counting(ConstantModel):
+            def forward(self, inputs, training=False):
+                rows.append(len(inputs[0].data))
+                return super().forward(inputs, training)
+
+        model = Counting(np.zeros(3))
+        batch = random_batch(300, 2, classes=3, seed=15)
+        evaluate_center_crop(model, batch, identity_aug(2))
+        assert rows == [256, 44]
+        rows.clear()
+        evaluate_ten_crop(model, batch.subset(np.arange(64)), identity_aug(2), crop_size=1)
+        assert rows == [250, 250, 140]  # 25, 25 and 14 images of ten views each
 
 
 def tiny_spec(pods=2, classes=4):
