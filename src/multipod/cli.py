@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Subcommands: train, count-params, gradcheck, eval, augment-preview.
+Subcommands: train, count-params, gradcheck, eval, augment-preview (the view
+each pod of a run config gets from one sample in epoch 0, as PPM files).
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numerical abort.
 """
 
@@ -16,8 +17,8 @@ import numpy as np
 
 from . import tensor as T
 from .config import ConfigError, load_config, load_data, parse_config
-from .data import (ROUTINGS, AugmentationSpec, DataError, JitterSpec, make_pod_inputs,
-                   read_ppm, synthetic_dataset, write_ppm)
+from .checks import FieldError
+from .data import DataError, make_pod_inputs, read_ppm, write_ppm
 from .gradcheck import gradient_check
 from .models import (APPROACH1, APPROACH2, CIFAR_FAMILY, COMBINE_MODES, MultiPodSpec,
                      build_multipod, count_params, resnet_cifar, resnet_imagenet)
@@ -69,11 +70,11 @@ def _base_arg(name):
 
 
 def _spec_from_args(args, base):
-    classes = args.classes
-    if classes is None:
-        classes = 10 if base.family == CIFAR_FAMILY else 1000
-    return MultiPodSpec(pods=args.pods, base=base, fusion=_FUSION_NAMES[args.fusion],
-                        combine_mode=args.combine, classes=classes)
+    classes = args.classes if args.classes is not None else (
+        10 if base.family == CIFAR_FAMILY else 1000)
+    return MultiPodSpec(pods=3 if args.pods is None else args.pods, base=base,
+                        fusion=_FUSION_NAMES[args.fusion or "approach1"],
+                        combine_mode=args.combine or "sum", classes=classes)
 
 
 def _with_overrides(cfg, args):
@@ -144,9 +145,13 @@ def cmd_train(args):
 
 def cmd_count_params(args):
     if args.config:
+        given = [f"--{name}" for name in ("pods", "base", "fusion", "combine", "classes")
+                 if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"--config sets the model; drop {', '.join(given)}")
         spec = load_config(args.config).model
     else:
-        spec = _spec_from_args(args, args.base)
+        spec = _spec_from_args(args, args.base or resnet_cifar(3))
     n = count_params(spec)
     print(n)
     if args.expect is not None and n != args.expect:
@@ -156,8 +161,13 @@ def cmd_count_params(args):
 
 
 def cmd_gradcheck(args):
+    for flag, value in (("--batch", args.batch), ("--size", args.size)):
+        if value < 1:
+            raise ValueError(f"{flag} {value} must be >= 1")
     if args.size > 16:
         raise ValueError(f"--size {args.size} too large for finite differences (max 16)")
+    if not 0 < args.tolerance < float("inf"):
+        raise ValueError(f"--tolerance {args.tolerance} must be finite and > 0")
     spec = _spec_from_args(args, resnet_cifar(args.n))
     model = build_multipod(spec, dtype=np.float64)
     rng = np.random.default_rng(args.seed)
@@ -200,37 +210,36 @@ def cmd_eval(args):
 
 
 def cmd_augment_preview(args):
+    cfg = load_config(args.config)
     if args.index < 0:
         raise ValueError(f"--index {args.index} must be >= 0")
     if args.image is not None:
         img = read_ppm(args.image)
     else:
-        ds = synthetic_dataset(args.classes, max(args.classes, args.index + 1),
-                               args.size, args.seed)
-        img = ds.pixels[args.index]
-    size = img.shape[-1]
-    crop = args.crop_size if args.crop_size is not None else size
-    # identity normalization keeps previews in displayable [0,1] pixel space
-    spec = AugmentationSpec(
-        pad=args.pad, crop_size=crop, hflip_prob=args.hflip,
-        jitter=JitterSpec(args.brightness, args.contrast, args.saturation),
-        mean=(0.0, 0.0, 0.0), std=(1.0, 1.0, 1.0),
-        routing=args.routing, seed=args.seed)
-    views = make_pod_inputs(img[None], spec, args.pods,
-                            epoch=0, indices=[args.index], train=True)
+        samples, _ = load_data(cfg)
+        if args.index >= len(samples):
+            raise ValueError(f"--index {args.index} must be < {len(samples)}, the train set's size")
+        img = samples.pixels[args.index]
+    # identity normalization keeps the views in displayable [0,1] pixel space
+    aug = dataclasses.replace(cfg.augmentation, mean=(0.0, 0.0, 0.0), std=(1.0, 1.0, 1.0))
+    try:
+        views = make_pod_inputs(img[None], aug, cfg.model.pods, epoch=0, indices=[args.index])
+    except FieldError as e:  # only an --image can be smaller than the config's crop
+        raise ValueError(f"{args.image}: augmentation.{e}") from None
     os.makedirs(args.out, exist_ok=True)
     write_ppm(os.path.join(args.out, "original.ppm"), img)
     for i, v in enumerate(views):
         write_ppm(os.path.join(args.out, f"pod{i}.ppm"), v[0])
-    print(f"wrote original plus {args.pods} pod views to {args.out}")
+    print(f"wrote original plus {len(views)} pod views to {args.out}")
     return EXIT_OK
 
 
 def _add_spec_flags(p):
-    p.add_argument("--pods", type=int, default=3)
-    p.add_argument("--fusion", choices=sorted(_FUSION_NAMES), default="approach1")
-    p.add_argument("--combine", choices=COMBINE_MODES, default="sum")
-    p.add_argument("--classes", type=int, default=None)
+    # None when not given: count-params refuses a spec flag beside --config
+    p.add_argument("--pods", type=int, help="default 3")
+    p.add_argument("--fusion", choices=sorted(_FUSION_NAMES), help="default approach1")
+    p.add_argument("--combine", choices=COMBINE_MODES, help="default sum")
+    p.add_argument("--classes", type=int)
 
 
 def build_parser():
@@ -252,8 +261,8 @@ def build_parser():
     p = sub.add_parser("count-params", help="print the exact parameter count")
     p.add_argument("--config")
     _add_spec_flags(p)
-    p.add_argument("--base", type=_base_arg, default=resnet_cifar(3),
-                   help="resnet18 or a 6n+2 depth like resnet20")
+    p.add_argument("--base", type=_base_arg,
+                   help="resnet18 or a 6n+2 depth like resnet20 (the default)")
     p.add_argument("--expect", type=int, help="exit 1 unless the count equals this")
     p.set_defaults(func=cmd_count_params)
 
@@ -279,20 +288,10 @@ def build_parser():
     p.add_argument("--crop-size", type=int)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("augment-preview", help="write per-pod augmented images")
-    p.add_argument("--image", help="input PPM (P6); omit to use a synthetic sample")
-    p.add_argument("--index", type=int, default=0, help="synthetic sample index")
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--size", type=int, default=32, help="synthetic image size")
-    p.add_argument("--pods", type=int, default=3)
-    p.add_argument("--routing", choices=ROUTINGS, default="per-pod-jitter")
-    p.add_argument("--pad", type=int, default=0)
-    p.add_argument("--crop-size", type=int)
-    p.add_argument("--hflip", type=float, default=0.0)
-    p.add_argument("--brightness", type=float, nargs=2, default=(0.6, 1.4))
-    p.add_argument("--contrast", type=float, nargs=2, default=(0.6, 1.4))
-    p.add_argument("--saturation", type=float, nargs=2, default=(0.6, 1.4))
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("augment-preview", help="write each pod's view of one sample")
+    p.add_argument("--config", required=True)
+    p.add_argument("--image", help="input PPM (P6); omit to use the config's train set")
+    p.add_argument("--index", type=int, default=0, help="train-set index; seeds the draws")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_augment_preview)
 

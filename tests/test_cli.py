@@ -10,10 +10,13 @@ import sys
 import numpy as np
 import pytest
 
+import multipod.cli as cli
+import multipod.training as training
 from multipod.checks import FieldError
 from multipod.cli import main
-from multipod.config import MAX_IMAGE_SIZE, MAX_SAMPLES, ConfigError, parse_config
-from multipod.data import AugmentationSpec, DataError, JitterSpec, read_ppm, write_ppm
+from multipod.config import MAX_IMAGE_SIZE, MAX_SAMPLES, ConfigError, load_data, parse_config
+from multipod.data import (AugmentationSpec, DataError, JitterSpec, make_pod_inputs, normalize,
+                           read_ppm, write_ppm)
 from multipod.models import (CIFAR_FAMILY, MAX_BLOCKS, MAX_CLASSES, MAX_PODS, MultiPodSpec,
                              PodBaseSpec, count_params, resnet_cifar)
 from multipod.training import MAX_BATCH_SIZE, MAX_EPOCHS, TrainingSchedule
@@ -143,6 +146,23 @@ class TestCountParams:
         spec = MultiPodSpec(pods=2, base=resnet_cifar(1), classes=4, seeds=(0, 1))
         assert capsys.readouterr().out.strip() == str(count_params(spec))
 
+    SPEC_FLAGS = [(["--pods", "5", "--base", "resnet56", "--classes", "100"],
+                   "--pods, --base, --classes"),
+                  (["--pods", "3"], "--pods"), (["--base", "resnet20"], "--base"),
+                  (["--fusion", "approach1"], "--fusion"), (["--combine", "sum"], "--combine"),
+                  (["--classes", "4"], "--classes")]
+
+    @pytest.mark.parametrize("flags,named", SPEC_FLAGS,
+                             ids=[" ".join(flags) for flags, _ in SPEC_FLAGS])
+    def test_config_with_spec_flags_refused(self, tmp_path, capsys, flags, named):
+        # the config states the model, so a spec flag beside it, even one
+        # repeating a default, would be ignored
+        cfg = write_config(tmp_path)
+        assert main(["count-params", "--config", cfg, *flags, "--expect", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: --config sets the model; drop {named}"]
+
 
 class TestGradcheck:
     def test_subsampled_pass(self, capsys):
@@ -151,9 +171,10 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "checked" in out and "worst relative error" in out
 
-    def test_zero_tolerance_fails(self, capsys):
+    def test_failing_check_exits_1(self, capsys):
+        # a step this coarse puts finite differences far off the analytic gradient
         assert main(["gradcheck", "--pods", "1", "--size", "8", "--batch", "2",
-                     "--tolerance", "0", "--sample-stride", "4999"]) == 1
+                     "--h", "0.1", "--sample-stride", "4999"]) == 1
         assert "gradient check failed" in capsys.readouterr().err
 
     def test_oversized_input_rejected(self, capsys):
@@ -162,6 +183,23 @@ class TestGradcheck:
 
     def test_bad_stride_rejected(self, capsys):
         assert main(["gradcheck", "--sample-stride", "0"]) == 2
+
+    BAD_FLAGS = [(["--batch", "0"], "--batch 0 must be >= 1"),
+                 (["--size", "0"], "--size 0 must be >= 1"),
+                 (["--size", "17"], "--size 17 too large for finite differences (max 16)"),
+                 *((["--tolerance", t], f"--tolerance {float(t)} must be finite and > 0")
+                   for t in ("-1", "0", "nan", "inf"))]
+
+    @pytest.mark.parametrize("flags,line", BAD_FLAGS,
+                             ids=[" ".join(flags) for flags, _ in BAD_FLAGS])
+    def test_bad_flag_is_refused_before_any_model(self, capsys, monkeypatch, flags, line):
+        def build_multipod(*_, **__):
+            raise AssertionError("a model was built")
+        monkeypatch.setattr(cli, "build_multipod", build_multipod)
+        assert main(["gradcheck", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {line}"]
 
     def test_nonpositive_step_rejected(self, capsys):
         assert main(["gradcheck", "--h", "0", "--pods", "2", "--sample-stride", "997"]) == 2
@@ -645,7 +683,8 @@ def test_ppm_header_that_breaks_the_grammar_is_refused(tmp_path, capsys, header)
         read_ppm(path)
     assert str(e.value) == refusal
     out = tmp_path / "views"
-    assert main(["augment-preview", "--image", str(path), "--out", str(out)]) == 2
+    assert main(["augment-preview", "--config", write_config(tmp_path), "--image", str(path),
+                 "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {refusal}"]
     assert not out.exists()
 
@@ -683,65 +722,148 @@ class TestPpm:
             read_ppm(path)
 
 
+JITTER = {op: [0.6, 1.4] for op in ("brightness", "contrast", "saturation")}
+
+
 class TestAugmentPreview:
+    # each pod jitters its own view of the sample
+    JITTERED = {"augmentation.routing": "per-pod-jitter", "augmentation.jitter": JITTER}
+    # the crop is the whole image, never flipped
+    UNMOVED = {"augmentation.pad": 0, "augmentation.hflip_prob": 0.0}
+
+    @staticmethod
+    def preview(tmp_path, *flags, out="views", **tweaks):
+        """augment-preview of a toy config with ``tweaks``: its exit code and --out."""
+        cfg = write_config(tmp_path, **tweaks)
+        out = tmp_path / out
+        return main(["augment-preview", "--config", cfg, "--out", str(out), *flags]), out
+
     def test_writes_one_file_per_pod(self, tmp_path, capsys):
-        out = tmp_path / "views"
-        assert main(["augment-preview", "--out", str(out), "--pods", "3",
-                     "--size", "16"]) == 0
+        code, out = self.preview(tmp_path, **{"model.pods": 3, "model.seeds": None})
+        assert code == 0
         names = sorted(p.name for p in out.iterdir())
         assert names == ["original.ppm", "pod0.ppm", "pod1.ppm", "pod2.ppm"]
 
     def test_per_pod_jitter_views_differ(self, tmp_path, capsys):
-        out = tmp_path / "views"
-        main(["augment-preview", "--out", str(out), "--pods", "2", "--size", "16"])
-        a = (out / "pod0.ppm").read_bytes()
-        b = (out / "pod1.ppm").read_bytes()
-        assert a != b
+        _, out = self.preview(tmp_path, **self.JITTERED)
+        assert (out / "pod0.ppm").read_bytes() != (out / "pod1.ppm").read_bytes()
 
     def test_identical_routing_reproduces_original(self, tmp_path, capsys):
-        out = tmp_path / "views"
-        main(["augment-preview", "--out", str(out), "--pods", "2", "--size", "16",
-              "--routing", "identical"])
+        _, out = self.preview(tmp_path, **{"augmentation.jitter": JITTER}, **self.UNMOVED)
         original = (out / "original.ppm").read_bytes()
         assert (out / "pod0.ppm").read_bytes() == original
         assert (out / "pod1.ppm").read_bytes() == original
 
     def test_unit_jitter_ranges_reproduce_original(self, tmp_path, capsys):
-        out = tmp_path / "views"
-        main(["augment-preview", "--out", str(out), "--pods", "2", "--size", "16",
-              "--brightness", "1", "1", "--contrast", "1", "1",
-              "--saturation", "1", "1"])
+        unit = {op: [1, 1] for op in JITTER}
+        _, out = self.preview(tmp_path, **{**self.JITTERED, **self.UNMOVED,
+                                           "augmentation.jitter": unit})
         original = (out / "original.ppm").read_bytes()
         assert (out / "pod0.ppm").read_bytes() == original
 
     def test_previews_are_reproducible(self, tmp_path, capsys):
         blobs = []
         for name in ("a", "b"):
-            out = tmp_path / name
-            main(["augment-preview", "--out", str(out), "--pods", "2",
-                  "--size", "16", "--seed", "5"])
+            _, out = self.preview(tmp_path, "--index", "5", out=name, **self.JITTERED)
             blobs.append(tuple((out / f).read_bytes()
                                for f in ("original.ppm", "pod0.ppm", "pod1.ppm")))
         assert blobs[0] == blobs[1]
 
     def test_ppm_input_round_trip(self, tmp_path, capsys, rng):
         src = tmp_path / "input.ppm"
-        img = rng.integers(0, 256, size=(3, 8, 8)).astype(np.float32) / 255.0
+        img = rng.integers(0, 256, size=(3, 16, 16)).astype(np.float32) / 255.0
         write_ppm(src, img)
-        out = tmp_path / "views"
-        assert main(["augment-preview", "--image", str(src), "--out", str(out),
-                     "--pods", "1", "--routing", "identical"]) == 0
+        code, out = self.preview(tmp_path, "--image", str(src), **self.UNMOVED)
+        assert code == 0
         assert (out / "original.ppm").read_bytes() == src.read_bytes()
+        assert (out / "pod0.ppm").read_bytes() == src.read_bytes()
+
+    def test_image_needs_no_dataset(self, tmp_path, capsys, rng):
+        # a cifar10 config whose dataset is not on disk previews a given image
+        src = tmp_path / "input.ppm"
+        write_ppm(src, rng.random((3, 32, 32)))
+        code, out = self.preview(tmp_path, "--image", str(src), **self.JITTERED, **{
+            "data": {"kind": "cifar10", "path": str(tmp_path / "absent")},
+            "model.classes": 10, "augmentation.crop_size": 32})
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["original.ppm", "pod0.ppm", "pod1.ppm"]
+
+    @pytest.mark.parametrize("index", [0, 13])
+    def test_each_pod_view_is_what_training_feeds_that_pod(self, tmp_path, capsys, monkeypatch,
+                                                          index):
+        tweaks = {**self.JITTERED, "seed": 4, "model.pods": 3, "model.seeds": None,
+                  "schedule.epochs": 1}
+        fed = {}  # sample index -> the arrays train() fed each pod in epoch 0
+
+        def spy(pixels, spec, k, epoch=0, indices=None, train=True):
+            views = make_pod_inputs(pixels, spec, k, epoch, indices, train)
+            if train and epoch == 0:
+                fed.update((int(n), [v[j] for v in views]) for j, n in enumerate(indices))
+            return views
+        monkeypatch.setattr(training, "make_pod_inputs", spy)
+        cfg = write_config(tmp_path, out_dir=str(tmp_path / "run"), **tweaks)
+        assert main(["train", "--config", cfg]) == 0
+        code, out = self.preview(tmp_path, "--index", str(index), **tweaks)
+        assert code == 0
+
+        run = parse_config(toy_config_doc(**tweaks))
+        samples, _ = load_data(run)
+        aug = run.augmentation
+        unnormalized = dataclasses.replace(aug, mean=(0.0, 0.0, 0.0), std=(1.0, 1.0, 1.0))
+        # the whole train set in one batch: a sample's views do not depend on its batch
+        views = make_pod_inputs(samples.pixels, unnormalized, 3, epoch=0,
+                                indices=np.arange(len(samples)))
+        assert len(fed[index]) == 3
+        for pod, (view, given) in enumerate(zip(views, fed[index])):
+            np.testing.assert_array_equal(normalize(view[index], aug.mean, aug.std), given)
+            write_ppm(tmp_path / "want.ppm", view[index])
+            assert (out / f"pod{pod}.ppm").read_bytes() == (tmp_path / "want.ppm").read_bytes()
+
+    @pytest.mark.parametrize("path,value,line", [
+        ("augmentation.pad", -1, "augmentation.pad: must be >= 0, got -1"),
+        ("augmentation.hflip_prob", 2, "augmentation.hflip_prob: must be in [0,1], got 2.0"),
+        ("augmentation.jitter", {"brightness": [2, 3]}, "augmentation.jitter.brightness: "
+         "must be a positive interval containing 1, got (2.0, 3.0)"),
+        ("augmentation.crop_size", 40, "augmentation.crop_size: 40 exceeds padded image size 20"),
+        ("model.pods", 0, "model.pods: must be an int >= 1, got 0"),
+        ("data.size", 0, "data.size: must be an int >= 8, got 0")])
+    def test_bad_setting_is_refused_by_its_config_path(self, tmp_path, capsys, path, value,
+                                                       line):
+        code, out = self.preview(tmp_path, **{path: value})
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: invalid configuration:", f"  {line}"]
+        assert not out.exists()
+
+    def test_image_smaller_than_the_crop_rejected(self, tmp_path, capsys, rng):
+        src = tmp_path / "input.ppm"
+        write_ppm(src, rng.random((3, 8, 8)))
+        code, out = self.preview(tmp_path, "--image", str(src))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {src}: augmentation.crop_size: 16 exceeds padded image size 12"]
+        assert not out.exists()
 
     def test_negative_index_rejected(self, tmp_path, capsys):
-        out = tmp_path / "views"
-        assert main(["augment-preview", "--index", "-1", "--out", str(out)]) == 2
+        code, out = self.preview(tmp_path, "--index", "-1")
+        assert code == 2
         assert capsys.readouterr().err.splitlines() == ["error: --index -1 must be >= 0"]
         assert not out.exists()
 
+    def test_index_past_the_train_set_rejected(self, tmp_path, capsys):
+        code, out = self.preview(tmp_path, "--index", "24")
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --index 24 must be < 24, the train set's size"]
+        assert not out.exists()
+
     def test_unreadable_image_rejected(self, tmp_path, capsys):
-        assert main(["augment-preview", "--image", str(tmp_path / "missing.ppm"),
-                     "--out", str(tmp_path / "views")]) == 2
+        code, out = self.preview(tmp_path, "--image", str(tmp_path / "missing.ppm"))
+        assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot read image {tmp_path / 'missing.ppm'}")
+        assert not out.exists()
 
 
 def test_module_entry_point(tmp_path):
