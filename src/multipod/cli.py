@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import tensor as T
-from .config import ConfigError, load_config, load_data, parse_config
+from .config import ConfigError, load_config, load_data
 from .checks import FieldError
 from .data import DataError, make_pod_inputs, read_ppm, write_ppm
 from .gradcheck import gradient_check
@@ -69,37 +69,23 @@ def _base_arg(name):
         f"unsupported base {name!r}: use resnet18 or a 6n+2 depth like resnet20")
 
 
-def _spec_from_args(args, base):
+def _spec_from_args(args, family, n):
+    # a spec flag's field has the flag's name (--fusion and --combine are argparse choices)
     classes = args.classes if args.classes is not None else (
-        10 if base.family == CIFAR_FAMILY else 1000)
-    return MultiPodSpec(pods=3 if args.pods is None else args.pods, base=base,
-                        fusion=_FUSION_NAMES[args.fusion or "approach1"],
-                        combine_mode=args.combine or "sum", classes=classes)
-
-
-def _with_overrides(cfg, args):
-    # Each flag is applied and validated in turn, so an error names the flag
-    # that made a valid config invalid.
-    doc = cfg.to_dict()
-    del doc["augmentation"]["seed"]  # it follows the run seed, which --seed may change
-    for flag, section, key, value in (("--seed", None, "seed", args.seed),
-                                      ("--epochs", "schedule", "epochs", args.epochs),
-                                      ("--batch-size", "schedule", "batch_size", args.batch_size),
-                                      ("--output-dir", None, "output_dir", args.output_dir)):
-        if value is None:
-            continue
-        (doc[section] if section else doc)[key] = value
-        try:
-            cfg = parse_config(doc)
-        except ConfigError as e:
-            raise ConfigError(f"{flag} {value}: {e}") from e
-    return cfg
+        10 if family == CIFAR_FAMILY else 1000)
+    try:
+        return MultiPodSpec(pods=3 if args.pods is None else args.pods,
+                            base={"family": family, "n": n},
+                            fusion=_FUSION_NAMES[args.fusion or "approach1"],
+                            combine_mode=args.combine or "sum", classes=classes)
+    except FieldError as e:
+        raise ValueError("; ".join(f"--{line}" for line in e.lines)) from None
 
 
 def cmd_train(args):
-    cfg = _with_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
 
-    out_dir = cfg.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "runs"
+    out_dir = args.output_dir or cfg.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "runs"
     # the data, the resume checkpoint and its log are checked before any artifact is
     # written, so a run that fails on them leaves its directory as it was
     train_batch, eval_batch = load_data(cfg)
@@ -111,9 +97,10 @@ def cmd_train(args):
         read_log(os.path.join(out_dir, "train_log.jsonl"))
 
     os.makedirs(out_dir, exist_ok=True)
-    effective = dataclasses.replace(cfg, output_dir=out_dir)
+    effective = dataclasses.replace(cfg, output_dir=out_dir).to_dict()
+    del effective["augmentation"]["seed"]  # it is the run seed, so the file states it once
     write_atomically(os.path.join(out_dir, "config.json"),
-                     lambda f: f.write(json.dumps(effective.to_dict(), indent=2) + "\n"))
+                     lambda f: f.write(json.dumps(effective, indent=2) + "\n"))
 
     def progress(record, _model):
         print(f"epoch {record.epoch}: lr={record.lr:g} "
@@ -151,7 +138,8 @@ def cmd_count_params(args):
             raise ValueError(f"--config sets the model; drop {', '.join(given)}")
         spec = load_config(args.config).model
     else:
-        spec = _spec_from_args(args, args.base or resnet_cifar(3))
+        base = args.base or resnet_cifar(3)
+        spec = _spec_from_args(args, base.family, base.n)
     n = count_params(spec)
     print(n)
     if args.expect is not None and n != args.expect:
@@ -161,14 +149,16 @@ def cmd_count_params(args):
 
 
 def cmd_gradcheck(args):
-    for flag, value in (("--batch", args.batch), ("--size", args.size)):
+    for flag, value in (("--batch", args.batch), ("--size", args.size),
+                        ("--sample-stride", args.sample_stride)):
         if value < 1:
             raise ValueError(f"{flag} {value} must be >= 1")
     if args.size > 16:
         raise ValueError(f"--size {args.size} too large for finite differences (max 16)")
-    if not 0 < args.tolerance < float("inf"):
-        raise ValueError(f"--tolerance {args.tolerance} must be finite and > 0")
-    spec = _spec_from_args(args, resnet_cifar(args.n))
+    for flag, value in (("--h", args.h), ("--tolerance", args.tolerance)):
+        if not 0 < value < float("inf"):
+            raise ValueError(f"{flag} {value} must be finite and > 0")
+    spec = _spec_from_args(args, CIFAR_FAMILY, args.n)
     model = build_multipod(spec, dtype=np.float64)
     rng = np.random.default_rng(args.seed)
     inputs = [T.Tensor(rng.normal(0.0, 1.0, (args.batch, 3, args.size, args.size)),
@@ -251,9 +241,6 @@ def build_parser():
     p = sub.add_parser("train", help="run a training config")
     p.add_argument("--config", required=True)
     p.add_argument("--output-dir")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
     p.add_argument("--resume", action="store_true",
                    help="resume from last.ckpt in the output directory")
     p.set_defaults(func=cmd_train)

@@ -52,6 +52,12 @@ def _preserved(store):
         store.load_buffer_state(buffers)
 
 
+def _check_step(h, sample_stride):
+    if not (0 < h < np.inf and sample_stride >= 1):
+        raise ValueError(f"finite-difference step h must be > 0 and finite and sample_stride "
+                         f">= 1, got h={h}, sample_stride={sample_stride}")
+
+
 def finite_differences(model, inputs, labels, h=1e-5, sample_stride=1):
     """Yield ``(name, positions, quotients)`` per parameter tensor of ``model``.
 
@@ -60,9 +66,7 @@ def finite_differences(model, inputs, labels, h=1e-5, sample_stride=1):
     ``sample_stride``-th scalar is covered. Parameters and BN buffers are
     left as they were on entry.
     """
-    if not (h > 0 and sample_stride >= 1):
-        raise ValueError(f"finite-difference step h must be > 0 and sample_stride >= 1, "
-                         f"got h={h}, sample_stride={sample_stride}")
+    _check_step(h, sample_stride)
     store = model.store
     k = model.spec.pods
     with _preserved(store):
@@ -130,15 +134,18 @@ def gradient_check(model, inputs, labels, h=1e-5, tol=1e-5, atol=1e-8, progress=
     so that "error < tol" is exactly the pass condition. A non-finite
     quotient or gradient fails its scalar (error inf). ``sample_stride`` > 1
     checks only every Nth scalar per tensor (smoke-test mode); the default
-    covers everything, and a stride < 1 or an ``h`` <= 0 raises ValueError
-    from ``finite_differences``, after the analytic pass. Parameters and BN
-    buffers are left bit-identical to their state on entry.
+    covers everything. A stride < 1, or an ``h`` or ``tol`` that is not
+    finite and > 0, raises ValueError before any forward runs. Parameters
+    and BN buffers are left bit-identical to their state on entry.
     """
     store = model.store
     if store.dtype != np.float64:
         raise ValueError("gradient check requires a float64 model")
+    _check_step(h, sample_stride)
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance tol must be > 0 and finite, got tol={tol}")
 
-    floor = atol / tol if tol > 0 else 0.0
+    floor = atol / tol
     worst_rel = 0.0
     worst_param = ""
     failures = []

@@ -187,7 +187,7 @@ def _evaluate(model, batch, aug, size, ten):
             logits = model.forward([T.Tensor(p) for p in pods], training=False).data
         logits = logits.reshape(-1, len(labels), classes)
         if ten:
-            scores = sum(np.exp(T.log_softmax(z.astype(np.float64))) for z in logits) / 10.0
+            scores = np.exp(T.log_softmax(logits.astype(np.float64))).sum(axis=0) / 10.0
             nll = -np.log(np.clip(scores[rows, labels], 1e-12, None))
         else:
             scores = logits[0]

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -57,6 +58,13 @@ def write_config(tmp_path, name="config.json", **kwargs):
     path = tmp_path / name
     path.write_text(json.dumps(toy_config_doc(**kwargs)))
     return str(path)
+
+
+def parser_flags():
+    """Each subcommand's flags, --help aside."""
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: {flag for action in p._actions for flag in action.option_strings}
+            - {"-h", "--help"} for name, p in sub.choices.items()}
 
 
 def log_lines(out_dir):
@@ -163,6 +171,22 @@ class TestCountParams:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: --config sets the model; drop {named}"]
 
+    @pytest.mark.parametrize("flags,line", [
+        (["--pods", "0"], "--pods: must be an int >= 1, got 0"),
+        (["--pods", "65"], "--pods: must be <= 64, got 65"),
+        (["--classes", "1"], "--classes: must be >= 2, got 1"),
+        (["--pods", "0", "--classes", "1"],
+         "--pods: must be an int >= 1, got 0; --classes: must be >= 2, got 1")],
+        ids=["--pods 0", "--pods 65", "--classes 1", "--pods 0 --classes 1"])
+    def test_bad_spec_flag_is_refused_by_its_flag(self, capsys, monkeypatch, flags, line):
+        def count_params(*_):
+            raise AssertionError("a model was counted")
+        monkeypatch.setattr(cli, "count_params", count_params)
+        assert main(["count-params", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {line}"]
+
 
 class TestGradcheck:
     def test_subsampled_pass(self, capsys):
@@ -187,8 +211,12 @@ class TestGradcheck:
     BAD_FLAGS = [(["--batch", "0"], "--batch 0 must be >= 1"),
                  (["--size", "0"], "--size 0 must be >= 1"),
                  (["--size", "17"], "--size 17 too large for finite differences (max 16)"),
-                 *((["--tolerance", t], f"--tolerance {float(t)} must be finite and > 0")
-                   for t in ("-1", "0", "nan", "inf"))]
+                 (["--sample-stride", "0"], "--sample-stride 0 must be >= 1"),
+                 *(([flag, t], f"{flag} {float(t)} must be finite and > 0")
+                   for flag in ("--tolerance", "--h") for t in ("-1", "0", "nan", "inf")),
+                 (["--pods", "0"], "--pods: must be an int >= 1, got 0"),
+                 (["--n", "0"], "--n: must be an int >= 1, got 0"),
+                 (["--classes", "1"], "--classes: must be >= 2, got 1")]
 
     @pytest.mark.parametrize("flags,line", BAD_FLAGS,
                              ids=[" ".join(flags) for flags, _ in BAD_FLAGS])
@@ -203,7 +231,7 @@ class TestGradcheck:
 
     def test_nonpositive_step_rejected(self, capsys):
         assert main(["gradcheck", "--h", "0", "--pods", "2", "--sample-stride", "997"]) == 2
-        assert "h must be > 0" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == ["error: --h 0.0 must be finite and > 0"]
 
 
 class TestTrain:
@@ -221,6 +249,7 @@ class TestTrain:
         saved = json.loads((out_dir / "config.json").read_text())
         assert saved["schedule"]["epochs"] == 2
         assert saved["output_dir"] == str(out_dir)
+        assert "seed" not in saved["augmentation"]  # the run seed, stated once
         assert parse_config(saved) == parse_config(toy_config_doc(out_dir=str(out_dir)))
 
         summary = json.loads((out_dir / "summary.json").read_text())
@@ -245,22 +274,23 @@ class TestTrain:
         assert logs[0] == logs[1]
 
     def test_epoch_override_flag(self, tmp_path, capsys):
+        # the epoch count is the config's schedule.epochs; no flag overrides it
         out_dir = tmp_path / "run"
-        cfg = write_config(tmp_path, out_dir=str(out_dir))
-        assert main(["train", "--config", cfg, "--epochs", "1"]) == 0
+        cfg = write_config(tmp_path, out_dir=str(out_dir), **{"schedule.epochs": 1})
+        assert main(["train", "--config", cfg]) == 0
         assert len(log_lines(out_dir)) == 1
         saved = json.loads((out_dir / "config.json").read_text())
         assert saved["schedule"]["epochs"] == 1
 
-    @pytest.mark.parametrize("flag,value,field", [("--epochs", "1", "milestones"),
-                                                  ("--batch-size", "0", "batch_size"),
-                                                  ("--seed", "-1", "seed")])
-    def test_override_error_names_flag(self, tmp_path, capsys, flag, value, field):
+    @pytest.mark.parametrize("flag,value", [("--seed", "5"), ("--epochs", "1"),
+                                            ("--batch-size", "8")])
+    def test_config_states_the_run_and_no_flag_restates_it(self, tmp_path, capsys, flag,
+                                                           value):
+        assert parser_flags()["train"] == {"--config", "--output-dir", "--resume"}
         out_dir = tmp_path / "run"
-        cfg = write_config(tmp_path, out_dir=str(out_dir), **{"schedule.milestones": [1]})
+        cfg = write_config(tmp_path, out_dir=str(out_dir))
         assert main(["train", "--config", cfg, flag, value]) == 2
-        err = capsys.readouterr().err
-        assert f"{flag} {value}" in err and field in err
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_output_dir_env_fallback(self, tmp_path, capsys, monkeypatch):
@@ -271,11 +301,18 @@ class TestTrain:
         assert (env_dir / "train_log.jsonl").exists()
 
     def test_resume_continues_epoch_numbering(self, tmp_path, capsys):
+        # a run is lengthened by raising schedule.epochs in its config.json
         out_dir = tmp_path / "run"
-        cfg = write_config(tmp_path, out_dir=str(out_dir))
-        assert main(["train", "--config", cfg, "--epochs", "1"]) == 0
-        assert main(["train", "--config", cfg, "--resume"]) == 0
+        cfg = write_config(tmp_path, out_dir=str(out_dir), **{"schedule.epochs": 1})
+        assert main(["train", "--config", cfg]) == 0
+        assert len(log_lines(out_dir)) == 1
+        saved = out_dir / "config.json"
+        doc = json.loads(saved.read_text())
+        doc["schedule"]["epochs"] = 2
+        saved.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(saved), "--resume"]) == 0
         assert [r["epoch"] for r in log_lines(out_dir)] == [0, 1]
+        assert json.loads(saved.read_text())["schedule"]["epochs"] == 2
 
     def test_resumed_summary_reports_the_whole_run(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
@@ -421,14 +458,30 @@ class TestTrain:
         assert capsys.readouterr().err.splitlines() == [
             "error: invalid configuration:", "  augmentation.seed: must equal seed 0, got 7"]
         assert not out_dir.exists()
-        # --seed over a written config.json moves both seeds
+        # editing only seed in a written config.json moves both seeds
         cfg = write_config(tmp_path, out_dir=str(out_dir), **{"schedule.epochs": 1})
         assert main(["train", "--config", cfg]) == 0
         again = tmp_path / "again"
-        assert main(["train", "--config", str(out_dir / "config.json"), "--seed", "5",
-                     "--output-dir", str(again)]) == 0
+        doc = json.loads((out_dir / "config.json").read_text())
+        doc.update(seed=5, output_dir=str(again))
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(edited)]) == 0
         saved = json.loads((again / "config.json").read_text())
-        assert (saved["seed"], saved["augmentation"]["seed"]) == (5, 5)
+        assert saved["seed"] == 5 and "seed" not in saved["augmentation"]
+        assert parse_config(saved).augmentation.seed == 5
+        assert training.load_checkpoint(again / "last.ckpt").seed == 5
+
+    def test_config_json_stating_both_seeds_trains_resumes_and_evaluates(self, tmp_path,
+                                                                         capsys):
+        # as config.json was written before it stated its seed once
+        out_dir = tmp_path / "run"
+        cfg = write_config(tmp_path, out_dir=str(out_dir),
+                           **{"seed": 5, "augmentation.seed": 5, "schedule.epochs": 1})
+        assert main(["train", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg, "--resume"]) == 0
+        assert main(["eval", "--checkpoint", str(out_dir / "last.ckpt"), "--config", cfg]) == 0
+        assert training.load_checkpoint(out_dir / "last.ckpt").seed == 5
 
     def test_nested_spec_lines_join_their_section(self):
         with pytest.raises(ConfigError) as e:
@@ -450,17 +503,15 @@ class TestTrain:
             parse_config(doc)
         assert str(e.value).splitlines()[1:] == ["  model.n: required", "  data.kind: required"]
 
-    @pytest.mark.parametrize("args,tweak", [(["--seed", "5"], {}),
-                                            ([], {"model.pods": 3, "model.seeds": [0, 1, 2]})],
+    @pytest.mark.parametrize("tweak", [{"seed": 5}, {"model.pods": 3, "model.seeds": [0, 1, 2]}],
                              ids=["seed", "pods"])
-    def test_refused_resume_leaves_the_run_directory_as_it_was(self, tmp_path, capsys,
-                                                              args, tweak):
+    def test_refused_resume_leaves_the_run_directory_as_it_was(self, tmp_path, capsys, tweak):
         out_dir = tmp_path / "run"
         cfg = write_config(tmp_path, out_dir=str(out_dir), **{"schedule.epochs": 1})
         assert main(["train", "--config", cfg]) == 0
         before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
         other = write_config(tmp_path, "other.json", out_dir=str(out_dir), **tweak)
-        assert main(["train", "--config", other, "--resume", *args]) == 2
+        assert main(["train", "--config", other, "--resume"]) == 2
         assert "checkpoint" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
@@ -602,9 +653,10 @@ class TestEval:
 def one_epoch_run(tmp_path_factory):
     # a run of a two-epoch config stopped after its first epoch
     tmp = tmp_path_factory.mktemp("one-epoch")
-    cfg = write_config(tmp, out_dir=str(tmp / "run"))
-    assert main(["train", "--config", cfg, "--epochs", "1"]) == 0
-    return cfg, tmp / "run"
+    run = tmp / "run"
+    first = write_config(tmp, "first.json", out_dir=str(run), **{"schedule.epochs": 1})
+    assert main(["train", "--config", first]) == 0
+    return write_config(tmp, out_dir=str(run)), run
 
 
 def refused_resume(cfg, out_dir, capsys):
@@ -864,6 +916,16 @@ class TestAugmentPreview:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: cannot read image {tmp_path / 'missing.ppm'}")
         assert not out.exists()
+
+
+def test_readme_cli_table_names_each_subcommands_flags():
+    # a row's first cell is the usage line of one subcommand
+    rows = [re.split(r"(?<!\\)\|", line)[1]
+            for line in (ROOT / "README.md").read_text().splitlines()
+            if line.startswith("| `multipod ")]
+    documented = {row.split()[1]: set(re.findall(r"--[a-z][a-z-]*", row)) for row in rows}
+    assert len(documented) == len(rows)
+    assert documented == parser_flags()
 
 
 def test_module_entry_point(tmp_path):

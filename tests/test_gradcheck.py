@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,19 @@ def test_sample_stride_below_one_is_rejected(stride):
         gradient_check(model, inputs, labels, sample_stride=stride)
     with pytest.raises(ValueError, match="sample_stride >= 1"):
         next(finite_differences(model, inputs, labels, sample_stride=stride))
+
+
+BAD_ARGUMENTS = [*(("h", h) for h in (0.0, -1e-5, np.nan, np.inf)),
+                 *(("tol", tol) for tol in (0.0, -1.0, np.nan, np.inf)), ("sample_stride", 0)]
+
+
+@pytest.mark.parametrize("name,value", BAD_ARGUMENTS,
+                         ids=[f"{name}={value}" for name, value in BAD_ARGUMENTS])
+def test_bad_step_tolerance_or_stride_is_refused_before_any_forward(monkeypatch, name, value):
+    model, inputs, labels = small_model()
+
+    def forward(*_, **__):
+        raise AssertionError("a forward ran")
+    monkeypatch.setattr(model, "forward", forward)
+    with pytest.raises(ValueError, match=re.escape(f"{name}={value}")):
+        gradient_check(model, inputs, labels, **{name: value})
