@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: train, count-params, gradcheck, eval, augment-preview (the view
-each pod of a run config gets from one sample in epoch 0, as PPM files).
+each pod of a run config gets from one sample in epoch 0, as PPM files). Every
+subcommand reads the run config `--config`; no flag describes a model.
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numerical abort.
 """
 
@@ -20,8 +21,7 @@ from .config import ConfigError, load_config, load_data
 from .checks import FieldError
 from .data import DataError, make_pod_inputs, read_ppm, write_ppm
 from .gradcheck import gradient_check
-from .models import (APPROACH1, APPROACH2, CIFAR_FAMILY, COMBINE_MODES, MultiPodSpec,
-                     build_multipod, count_params, resnet_cifar, resnet_imagenet)
+from .models import build_multipod, count_params
 from .training import (CheckpointError, NumericalAbort, evaluate_center_crop,
                        evaluate_ten_crop, load_checkpoint, read_log, train,
                        write_atomically)
@@ -32,8 +32,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 OUTPUT_DIR_ENV = "MULTIPOD_OUTPUT_DIR"
-
-_FUSION_NAMES = {"approach1": APPROACH1, "approach2": APPROACH2}
 
 # Environment variables that set the BLAS thread count, most specific first.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
@@ -53,33 +51,6 @@ def _machine():
         "blas_threads": next((os.environ[v] for v in _BLAS_THREAD_VARS if v in os.environ),
                              "default"),
     }
-
-
-def _base_arg(name):
-    if name == "resnet18":
-        return resnet_imagenet()
-    if name.startswith("resnet"):
-        try:
-            depth = int(name[len("resnet"):])
-        except ValueError:
-            depth = -1
-        if depth >= 8 and (depth - 2) % 6 == 0:
-            return resnet_cifar((depth - 2) // 6)
-    raise argparse.ArgumentTypeError(
-        f"unsupported base {name!r}: use resnet18 or a 6n+2 depth like resnet20")
-
-
-def _spec_from_args(args, family, n):
-    # a spec flag's field has the flag's name (--fusion and --combine are argparse choices)
-    classes = args.classes if args.classes is not None else (
-        10 if family == CIFAR_FAMILY else 1000)
-    try:
-        return MultiPodSpec(pods=3 if args.pods is None else args.pods,
-                            base={"family": family, "n": n},
-                            fusion=_FUSION_NAMES[args.fusion or "approach1"],
-                            combine_mode=args.combine or "sum", classes=classes)
-    except FieldError as e:
-        raise ValueError("; ".join(f"--{line}" for line in e.lines)) from None
 
 
 def cmd_train(args):
@@ -131,16 +102,7 @@ def cmd_train(args):
 
 
 def cmd_count_params(args):
-    if args.config:
-        given = [f"--{name}" for name in ("pods", "base", "fusion", "combine", "classes")
-                 if getattr(args, name) is not None]
-        if given:
-            raise ValueError(f"--config sets the model; drop {', '.join(given)}")
-        spec = load_config(args.config).model
-    else:
-        base = args.base or resnet_cifar(3)
-        spec = _spec_from_args(args, base.family, base.n)
-    n = count_params(spec)
+    n = count_params(load_config(args.config).model)
     print(n)
     if args.expect is not None and n != args.expect:
         print(f"parameter count mismatch: expected {args.expect}, got {n}", file=sys.stderr)
@@ -158,7 +120,7 @@ def cmd_gradcheck(args):
     for flag, value in (("--h", args.h), ("--tolerance", args.tolerance)):
         if not 0 < value < float("inf"):
             raise ValueError(f"{flag} {value} must be finite and > 0")
-    spec = _spec_from_args(args, CIFAR_FAMILY, args.n)
+    spec = load_config(args.config).model
     model = build_multipod(spec, dtype=np.float64)
     rng = np.random.default_rng(args.seed)
     inputs = [T.Tensor(rng.normal(0.0, 1.0, (args.batch, 3, args.size, args.size)),
@@ -224,14 +186,6 @@ def cmd_augment_preview(args):
     return EXIT_OK
 
 
-def _add_spec_flags(p):
-    # None when not given: count-params refuses a spec flag beside --config
-    p.add_argument("--pods", type=int, help="default 3")
-    p.add_argument("--fusion", choices=sorted(_FUSION_NAMES), help="default approach1")
-    p.add_argument("--combine", choices=COMBINE_MODES, help="default sum")
-    p.add_argument("--classes", type=int)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="multipod",
@@ -245,21 +199,18 @@ def build_parser():
                    help="resume from last.ckpt in the output directory")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("count-params", help="print the exact parameter count")
-    p.add_argument("--config")
-    _add_spec_flags(p)
-    p.add_argument("--base", type=_base_arg,
-                   help="resnet18 or a 6n+2 depth like resnet20 (the default)")
+    p = sub.add_parser("count-params", help="print the exact parameter count of a config's model")
+    p.add_argument("--config", required=True)
     p.add_argument("--expect", type=int, help="exit 1 unless the count equals this")
     p.set_defaults(func=cmd_count_params)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of backward")
-    _add_spec_flags(p)
-    p.add_argument("--n", type=int, default=1, help="blocks per stage")
+    p = sub.add_parser("gradcheck", help="finite-difference check of a config's model's backward")
+    p.add_argument("--config", required=True)
     p.add_argument("--size", type=int, default=8, help="input resolution (max 16)")
     p.add_argument("--batch", type=int, default=2)
-    # default chosen so no pre-relu value sits within ~40 FD steps of zero;
-    # a kink inside the h-neighborhood corrupts finite differences upstream
+    # seeds the random inputs and labels, not the config's data; the default
+    # keeps every pre-relu value ~40 FD steps or more from zero, since a kink
+    # inside the h-neighborhood corrupts finite differences upstream
     p.add_argument("--seed", type=int, default=2701)
     p.add_argument("--h", type=float, default=1e-5)
     p.add_argument("--tolerance", type=float, default=1e-5)

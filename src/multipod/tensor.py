@@ -490,7 +490,7 @@ def _phase_step(w_phase, target):
 
 
 def _count(name, value, least):
-    # stride and padding: an integer, not a bool, of at least ``least``
+    # a kernel, stride or padding: an integer, not a bool, of at least ``least``
     try:
         count = operator.index(value)
     except TypeError:
@@ -550,8 +550,10 @@ def conv2d(x, weight, stride=1, padding=0):
 
 def max_pool2d(x, kernel, stride, padding=0):
     """Max pooling over (..., B, C, H, W); padded cells never win (padded with -inf)."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    kernel, stride = _count("kernel", kernel, 1), _count("stride", stride, 1)
+    padding = _count("padding", padding, 0)
+    if padding >= kernel:  # a window could then lie wholly in the padding
+        raise ValueError(f"padding must be < kernel {kernel}, got {padding}")
     h, w = x.data.shape[-2:]
     out_h = (h + 2 * padding - kernel) // stride + 1
     out_w = (w + 2 * padding - kernel) // stride + 1

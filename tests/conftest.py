@@ -8,9 +8,17 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# Hypothesis keeps its example database and constants cache in a temporary
+# directory, removed at exit, so a test run writes nothing into the checkout.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="multipod-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 settings.register_profile(
     "default",

@@ -18,8 +18,8 @@ from multipod.cli import main
 from multipod.config import MAX_IMAGE_SIZE, MAX_SAMPLES, ConfigError, load_data, parse_config
 from multipod.data import (AugmentationSpec, DataError, JitterSpec, make_pod_inputs, normalize,
                            read_ppm, write_ppm)
-from multipod.models import (CIFAR_FAMILY, MAX_BLOCKS, MAX_CLASSES, MAX_PODS, MultiPodSpec,
-                             PodBaseSpec, count_params, resnet_cifar)
+from multipod.models import (APPROACH2, CIFAR_FAMILY, MAX_BLOCKS, MAX_CLASSES, MAX_PODS,
+                             MultiPodSpec, PodBaseSpec, count_params, resnet_cifar)
 from multipod.training import MAX_BATCH_SIZE, MAX_EPOCHS, TrainingSchedule
 from test_data import fake_cifar_dir
 from test_training import BAD_CHECKPOINTS, BAD_LOG_LINES
@@ -45,6 +45,11 @@ def toy_config_doc(out_dir=None, **tweaks):
                          "normalize": {"mean": [0.5, 0.5, 0.5],
                                        "std": [0.25, 0.25, 0.25]}},
     }
+    return tweaked(doc, **tweaks)
+
+
+def tweaked(doc, **tweaks):
+    """``doc`` with each dotted path set to its value."""
     for dotted, value in tweaks.items():
         node = doc
         *parents, leaf = dotted.split(".")
@@ -57,6 +62,14 @@ def toy_config_doc(out_dir=None, **tweaks):
 def write_config(tmp_path, name="config.json", **kwargs):
     path = tmp_path / name
     path.write_text(json.dumps(toy_config_doc(**kwargs)))
+    return str(path)
+
+
+def write_shipped(tmp_path, name, **tweaks):
+    """A tweaked copy of ``configs/<name>.json``."""
+    path = tmp_path / f"{name}.json"
+    doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    path.write_text(json.dumps(tweaked(doc, **tweaks)))
     return str(path)
 
 
@@ -124,35 +137,95 @@ BOUNDS = [("model.pods", MAX_PODS, {"model.seeds": None}), ("model.n", MAX_BLOCK
           ("augmentation.crop_size", MAX_IMAGE_SIZE, {"augmentation.pad": 504})]
 
 
+# (tweaks, the line under "invalid configuration:" that refuses them)
+BAD_MODELS = [({"model.pods": 0}, "model.pods: must be an int >= 1, got 0"),
+              ({"model.pods": 65, "model.seeds": None}, "model.pods: must be <= 64, got 65"),
+              ({"model.n": 0}, "model.n: must be an int >= 1, got 0"),
+              ({"model.classes": 1}, "model.classes: must be >= 2, got 1"),
+              ({"model.fusion": "approach1"}, "model.fusion: must be one of "
+               "('approach1-concat', 'approach2-scale-elementwise'), got 'approach1'")]
+
+
+def unrecognized(flags):
+    return f"multipod: error: unrecognized arguments: {' '.join(flags)}"
+
+
+def refusal(err):
+    """The line of stderr that refuses a command: argparse puts a usage line before it."""
+    *usage, line = err.splitlines()
+    assert usage == [] or line.startswith("multipod"), err
+    return line
+
+
+@pytest.mark.parametrize("command", ["count-params", "gradcheck"])
+@pytest.mark.parametrize("tweaks,line", BAD_MODELS,
+                         ids=[" ".join(f"{k}={v}" for k, v in t.items()) for t, _ in BAD_MODELS])
+def test_bad_model_is_refused_by_its_config_path(tmp_path, capsys, monkeypatch, command, tweaks,
+                                                 line):
+    def refuse(*_, **__):
+        raise AssertionError("a model was built or counted")
+    monkeypatch.setattr(cli, "build_multipod", refuse)
+    monkeypatch.setattr(cli, "count_params", refuse)
+    assert main([command, "--config", write_config(tmp_path, **tweaks)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: invalid configuration:", f"  {line}"]
+
+
+@pytest.mark.parametrize("command", ["count-params", "gradcheck"])
+def test_config_is_required(capsys, command):
+    assert main([command]) == 2
+    assert refusal(capsys.readouterr().err) == (
+        f"multipod {command}: error: the following arguments are required: --config")
+
+
 class TestCountParams:
     def test_tripod_concat(self, capsys):
-        assert main(["count-params", "--pods", "3", "--base", "resnet20",
-                     "--fusion", "approach1", "--expect", "817402"]) == 0
+        assert main(["count-params", "--config", str(ROOT / "configs" / "cifar10-tripod.json"),
+                     "--expect", "817402"]) == 0
         assert capsys.readouterr().out.strip() == "817402"
 
-    def test_tripod_scale_fusion(self, capsys):
-        assert main(["count-params", "--pods", "3", "--base", "resnet20",
-                     "--fusion", "approach2", "--expect", "816314"]) == 0
+    def test_tripod_scale_fusion(self, tmp_path, capsys):
+        cfg = write_shipped(tmp_path, "cifar10-tripod", **{"model.fusion": APPROACH2})
+        assert main(["count-params", "--config", cfg, "--expect", "816314"]) == 0
 
-    def test_imagenet_tripod(self, capsys):
-        assert main(["count-params", "--pods", "3", "--base", "resnet18",
-                     "--classes", "1000", "--expect", "35066536"]) == 0
+    def test_imagenet_tripod(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"model.family": "resnet-imagenet", "model.n": 2,
+                                        "model.pods": 3, "model.seeds": [0, 1, 2],
+                                        "model.classes": 1000, "data.classes": 1000})
+        assert main(["count-params", "--config", cfg, "--expect", "35066536"]) == 0
+        # README's recipe: the shipped tripod with a resnet18 base, 10 classes
+        cfg = write_shipped(tmp_path, "cifar10-tripod",
+                            **{"model.family": "resnet-imagenet", "model.n": 2})
+        assert main(["count-params", "--config", cfg, "--expect", "33544906"]) == 0
 
-    def test_expect_mismatch_fails(self, capsys):
-        assert main(["count-params", "--pods", "1", "--base", "resnet20",
-                     "--expect", "1"]) == 1
+    def test_expect_mismatch_fails(self, tmp_path, capsys):
+        cfg = write_shipped(tmp_path, "cifar10-tripod", **{"model.pods": 1, "model.seeds": [0]})
+        assert main(["count-params", "--config", cfg, "--expect", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out.strip() == "272474"
         assert "mismatch" in captured.err
 
-    def test_unsupported_base(self, capsys):
-        assert main(["count-params", "--base", "resnet19"]) == 2
+    def test_unsupported_base(self, tmp_path, capsys):
+        assert main(["count-params", "--config",
+                     write_config(tmp_path, **{"model.family": "resnet19"})]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: invalid configuration:",
+            "  model.family: must be one of ('resnet-cifar', 'resnet-imagenet'), got 'resnet19'"]
 
     def test_config_source(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["count-params", "--config", cfg]) == 0
         spec = MultiPodSpec(pods=2, base=resnet_cifar(1), classes=4, seeds=(0, 1))
         assert capsys.readouterr().out.strip() == str(count_params(spec))
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_each_shipped_config(self, capsys, path):
+        assert main(["count-params", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == f"{count_params(parse_config(path.read_text()).model)}\n"
+
+    def test_flags_are_the_config_and_the_expected_count(self):
+        assert parser_flags()["count-params"] == {"--config", "--expect"}
 
     SPEC_FLAGS = [(["--pods", "5", "--base", "resnet56", "--classes", "100"],
                    "--pods, --base, --classes"),
@@ -163,75 +236,86 @@ class TestCountParams:
     @pytest.mark.parametrize("flags,named", SPEC_FLAGS,
                              ids=[" ".join(flags) for flags, _ in SPEC_FLAGS])
     def test_config_with_spec_flags_refused(self, tmp_path, capsys, flags, named):
-        # the config states the model, so a spec flag beside it, even one
-        # repeating a default, would be ignored
+        # the config states the model, and no flag restates any of it
         cfg = write_config(tmp_path)
         assert main(["count-params", "--config", cfg, *flags, "--expect", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: --config sets the model; drop {named}"]
+        assert refusal(captured.err) == unrecognized(flags)
 
-    @pytest.mark.parametrize("flags,line", [
-        (["--pods", "0"], "--pods: must be an int >= 1, got 0"),
-        (["--pods", "65"], "--pods: must be <= 64, got 65"),
-        (["--classes", "1"], "--classes: must be >= 2, got 1"),
-        (["--pods", "0", "--classes", "1"],
-         "--pods: must be an int >= 1, got 0; --classes: must be >= 2, got 1")],
-        ids=["--pods 0", "--pods 65", "--classes 1", "--pods 0 --classes 1"])
-    def test_bad_spec_flag_is_refused_by_its_flag(self, capsys, monkeypatch, flags, line):
+    @pytest.mark.parametrize("flags", [["--pods", "0"], ["--pods", "65"], ["--classes", "1"],
+                                       ["--pods", "0", "--classes", "1"]],
+                             ids=["--pods 0", "--pods 65", "--classes 1", "--pods 0 --classes 1"])
+    def test_bad_spec_flag_is_refused_by_its_flag(self, tmp_path, capsys, monkeypatch, flags):
         def count_params(*_):
             raise AssertionError("a model was counted")
         monkeypatch.setattr(cli, "count_params", count_params)
-        assert main(["count-params", *flags]) == 2
+        assert main(["count-params", "--config", write_config(tmp_path), *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: {line}"]
+        assert refusal(captured.err) == unrecognized(flags)
 
 
 class TestGradcheck:
     def test_subsampled_pass(self, capsys):
-        assert main(["gradcheck", "--pods", "2", "--size", "8", "--batch", "2",
-                     "--sample-stride", "997"]) == 0
+        assert main(["gradcheck", "--config", str(ROOT / "configs" / "toy-synthetic.json"),
+                     "--size", "8", "--batch", "2", "--sample-stride", "997"]) == 0
         out = capsys.readouterr().out
         assert "checked" in out and "worst relative error" in out
 
-    def test_failing_check_exits_1(self, capsys):
+    def test_scale_fusion_product_model_from_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"model.fusion": APPROACH2, "model.combine_mode": "product"})
+        assert main(["gradcheck", "--config", cfg, "--sample-stride", "97", "--verbose"]) == 0
+        # the verbose lines name the config's head: per-pod scales feed one shared dense layer
+        checked = re.findall(r"^  (head\.\S+):", capsys.readouterr().out, re.M)
+        assert checked == ["head.scale0", "head.scale1", "head.dense.weight", "head.dense.bias"]
+
+    def test_failing_check_exits_1(self, tmp_path, capsys):
         # a step this coarse puts finite differences far off the analytic gradient
-        assert main(["gradcheck", "--pods", "1", "--size", "8", "--batch", "2",
+        cfg = write_config(tmp_path, **{"model.pods": 1, "model.seeds": [0]})
+        assert main(["gradcheck", "--config", cfg, "--size", "8", "--batch", "2",
                      "--h", "0.1", "--sample-stride", "4999"]) == 1
         assert "gradient check failed" in capsys.readouterr().err
 
-    def test_oversized_input_rejected(self, capsys):
-        assert main(["gradcheck", "--size", "17"]) == 2
+    def test_oversized_input_rejected(self, tmp_path, capsys):
+        assert main(["gradcheck", "--config", write_config(tmp_path), "--size", "17"]) == 2
         assert "max 16" in capsys.readouterr().err
 
-    def test_bad_stride_rejected(self, capsys):
-        assert main(["gradcheck", "--sample-stride", "0"]) == 2
+    def test_bad_stride_rejected(self, tmp_path, capsys):
+        assert main(["gradcheck", "--config", write_config(tmp_path), "--sample-stride", "0"]) == 2
 
-    BAD_FLAGS = [(["--batch", "0"], "--batch 0 must be >= 1"),
-                 (["--size", "0"], "--size 0 must be >= 1"),
-                 (["--size", "17"], "--size 17 too large for finite differences (max 16)"),
-                 (["--sample-stride", "0"], "--sample-stride 0 must be >= 1"),
-                 *(([flag, t], f"{flag} {float(t)} must be finite and > 0")
+    BAD_FLAGS = [(["--batch", "0"], "error: --batch 0 must be >= 1"),
+                 (["--size", "0"], "error: --size 0 must be >= 1"),
+                 (["--size", "17"], "error: --size 17 too large for finite differences (max 16)"),
+                 (["--sample-stride", "0"], "error: --sample-stride 0 must be >= 1"),
+                 *(([flag, t], f"error: {flag} {float(t)} must be finite and > 0")
                    for flag in ("--tolerance", "--h") for t in ("-1", "0", "nan", "inf")),
-                 (["--pods", "0"], "--pods: must be an int >= 1, got 0"),
-                 (["--n", "0"], "--n: must be an int >= 1, got 0"),
-                 (["--classes", "1"], "--classes: must be >= 2, got 1")]
+                 *((flags, unrecognized(flags))
+                   for flags in (["--pods", "0"], ["--n", "0"], ["--classes", "1"],
+                                 ["--fusion", "approach2"], ["--combine", "product"]))]
 
     @pytest.mark.parametrize("flags,line", BAD_FLAGS,
                              ids=[" ".join(flags) for flags, _ in BAD_FLAGS])
-    def test_bad_flag_is_refused_before_any_model(self, capsys, monkeypatch, flags, line):
+    def test_bad_flag_is_refused_before_any_model(self, tmp_path, capsys, monkeypatch, flags,
+                                                   line):
         def build_multipod(*_, **__):
             raise AssertionError("a model was built")
         monkeypatch.setattr(cli, "build_multipod", build_multipod)
-        assert main(["gradcheck", *flags]) == 2
+        # the flags are checked before the config, whose model is bad
+        cfg = write_config(tmp_path, **{"model.pods": 0})
+        assert main(["gradcheck", "--config", cfg, *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: {line}"]
+        assert refusal(captured.err) == line
 
-    def test_nonpositive_step_rejected(self, capsys):
-        assert main(["gradcheck", "--h", "0", "--pods", "2", "--sample-stride", "997"]) == 2
+    def test_nonpositive_step_rejected(self, tmp_path, capsys):
+        assert main(["gradcheck", "--config", write_config(tmp_path), "--h", "0",
+                     "--sample-stride", "997"]) == 2
         assert capsys.readouterr().err.splitlines() == ["error: --h 0.0 must be finite and > 0"]
+
+    def test_flags_are_the_config_and_the_checks_own(self):
+        assert parser_flags()["gradcheck"] == {"--config", "--size", "--batch", "--seed", "--h",
+                                               "--tolerance", "--sample-stride", "--verbose"}
 
 
 class TestTrain:
@@ -930,8 +1014,8 @@ def test_readme_cli_table_names_each_subcommands_flags():
 
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "multipod", "count-params", "--pods", "3",
-         "--base", "resnet20", "--expect", "817402"],
+        [sys.executable, "-m", "multipod", "count-params",
+         "--config", str(ROOT / "configs" / "cifar10-tripod.json"), "--expect", "817402"],
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "817402"

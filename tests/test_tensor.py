@@ -1,6 +1,7 @@
 import gc
 import itertools
 import multiprocessing
+import re
 import threading
 import time
 import weakref
@@ -587,6 +588,20 @@ class TestMaxPool:
         x = t64(np.full((1, 1, 2, 2), -5.0))
         out = T.max_pool2d(x, 3, 2, 1).data
         assert np.all(out == -5.0)
+
+    @pytest.mark.parametrize("args,line", [
+        ((2, 2, 5), "padding must be < kernel 2, got 5"),
+        ((2, 2, 2), "padding must be < kernel 2, got 2"),
+        ((0, 1), "kernel must be an int >= 1, got 0"),
+        ((2, 2, -1), "padding must be an int >= 0, got -1"),
+        ((2, True), "stride must be an int >= 1, got True")],
+        ids=["padding-5-past-kernel-2", "padding-equal-to-kernel", "kernel-0", "padding--1",
+             "stride-True"])
+    def test_arguments_take_conv2ds_rule(self, args, line):
+        # each once failed deep in numpy, or (the padding past the kernel)
+        # returned windows lying wholly in the -inf padding
+        with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+            T.max_pool2d(t64(np.ones((1, 1, 4, 4))), *args)
 
     def test_gradient_matches_fd(self, rng):
         x = t64(rng.normal(size=(1, 2, 6, 6)), requires_grad=True)
