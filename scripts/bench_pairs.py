@@ -12,8 +12,9 @@ the others; ``--traced`` runs ``--trace 1`` the same way. Each run leaves its
 result file in its checkout's ``.perfbench_out/``. Those files are merged
 into ``--out``: the machine descriptor; per workload and side, the median,
 quartiles and runs of the nominal rate, the wall-clock rate, ``setup_s`` and
-``peak_rss_mb``, and how many pairs the change won; per side, the per-layer
-table of each traced run.
+``peak_rss_mb``; per figure, how many pairs the change won (a higher rate, a
+lower ``setup_s`` or ``peak_rss_mb``) and the median over the pairs of its
+change/parent ratio; per side, the per-layer table of each traced run.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ WHAT = ("Alternating parent/change pairs of `python3 perfbench/run.py --workload
         "call's wall seconds with the probe left out, median over the calls. `traced` holds "
         "`--trace 1` runs, one per side and seed, in seconds per workload call.")
 SIDES = ("parent", "change")
-# each run's end-to-end figures, by their names in the record
-FIGURES = ("nominal_items_per_s", "wall_items_per_s", "setup_s", "peak_rss_mb")
+# each run's end-to-end figures, by their names in the record, and whether
+# the change wins a pair in that figure by being higher
+FIGURES = {"nominal_items_per_s": True, "wall_items_per_s": True, "setup_s": False,
+           "peak_rss_mb": False}
 
 
 def result_path(checkout, workload, seed, trace):
@@ -74,9 +77,14 @@ def merge(pairs, traced=None, parent=""):
         for side in SIDES:
             entry[side] = {name: spread([r[name] for r in read[side]]) for name in FIGURES}
             entry[side]["failed_operations"] = sum(r["failed_operations"] for r in read[side])
-        for name in ("nominal_items_per_s", "wall_items_per_s"):
-            entry["change_faster_" + name.split("_")[0]] = sum(
-                c[name] > p[name] for p, c in zip(read["parent"], read["change"]))
+        ran = list(zip(read["parent"], read["change"]))
+        entry["change_won"] = {name: sum((c[name] > p[name]) if higher else (c[name] < p[name])
+                                         for p, c in ran)
+                               for name, higher in FIGURES.items()}
+        entry["median_ratio"] = {name: statistics.median(c[name] / p[name] for p, c in ran)
+                                 for name in FIGURES}
+        entry["change_faster_nominal"] = entry["change_won"]["nominal_items_per_s"]
+        entry["change_faster_wall"] = entry["change_won"]["wall_items_per_s"]
         record["pairs"][workload] = entry
     for workload, runs in (traced or {}).items():
         for i, side in enumerate(SIDES):
@@ -140,9 +148,8 @@ def main(argv=None):
     for workload, entry in record["pairs"].items():
         print(workload, ", ".join(
             f"{name} {entry['parent'][name]['median']:.4g} -> {entry['change'][name]['median']:.4g}"
-            for name in FIGURES),
-            f"(change faster {entry['change_faster_nominal']}/{len(entry['seeds'])} nominal, "
-            f"{entry['change_faster_wall']}/{len(entry['seeds'])} wall)")
+            f" (x{entry['median_ratio'][name]:.3f}, change won "
+            f"{entry['change_won'][name]}/{len(entry['seeds'])})" for name in FIGURES))
     return 0
 
 

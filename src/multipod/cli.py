@@ -3,7 +3,9 @@
 Subcommands: train, count-params, gradcheck, eval, augment-preview (the view
 each pod of a run config gets from one sample in epoch 0, as PPM files). Every
 subcommand reads the run config `--config`; no flag describes a model.
-Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numerical abort.
+Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numerical abort,
+141 stdout closed by its reader (as a shell reports a process ended by SIGPIPE;
+the command stops at its next write, with no traceback).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+EXIT_PIPE = 141
 
 OUTPUT_DIR_ENV = "MULTIPOD_OUTPUT_DIR"
 
@@ -237,6 +240,20 @@ def build_parser():
 
 
 def main(argv=None):
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # so that a closed pipe is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader (`| head`) has gone: whatever is still buffered goes to
+        # devnull, so the interpreter's own flush at exit succeeds
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+
+
+def _run(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -192,12 +192,19 @@ def _conv(store, name, in_ch, out_ch, kernel, stride, padding):
     return fwd
 
 
+def _lend(t):
+    # t's one consumer, a relu or a residual add, may write its result into
+    # t's buffer: no backward reads t (see ``tensor``'s buffer hand-over)
+    t._lent = True
+    return t
+
+
 def _bn(store, name, channels):
     gamma = store.add_param(f"{name}.gamma", (channels,))
     beta = store.add_param(f"{name}.beta", (channels,))
     buffers = store.add_buffers(f"{name}.running", channels)
     def fwd(x, training):
-        return T.batch_norm2d(x, gamma, beta, buffers, training)
+        return _lend(T.batch_norm2d(x, gamma, beta, buffers, training))
     return fwd
 
 
@@ -215,7 +222,7 @@ def _basic_block(store, prefix, in_ch, out_ch, stride):
     def fwd(x, training):
         out = T.relu(bn1(conv1(x, training), training))
         out = bn2(conv2(out, training), training)
-        return T.relu(out + shortcut(x, training))
+        return T.relu(_lend(out + shortcut(x, training)))
     return fwd
 
 

@@ -21,6 +21,16 @@ computed, and hands each such array to at most one tensor. So every
 ``.grad`` stays private and writable, and the elementwise ops (relu, batch
 norm, the residual add) run without a full-size copy per pass.
 
+Buffer hand-over: a tensor whose ``_lent`` flag is set lends its buffer to
+the op that reads it. ``relu(x)`` then writes its result into ``x.data``,
+and ``add(a, b)`` writes into ``a.data`` when ``a`` is lent and ``b`` has
+its shape and dtype; otherwise both allocate, as they do for any other
+operand. The bits are those of the allocating op. A lent value must have
+that one consumer, and no backward closure may read it: the models lend each
+batch norm output (batch norm's backward recomputes x-hat from its input)
+and each residual sum (add's backward reads no data). Relu's backward reads
+its own output, which is then the shared buffer.
+
 Leading axis: an operand may carry one extra leading axis of R independent
 copies of the same computation (the finite-difference checker stacks R
 perturbed copies of one parameter this way). Images are then R x B x C x H
@@ -96,7 +106,7 @@ class Tensor:
     backward accumulation; after ``backward`` only leaves still hold one.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op", "_lent")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         if dtype is not None:
@@ -113,6 +123,7 @@ class Tensor:
         self._parents = ()
         self._backward = None
         self._op = ""
+        self._lent = False  # lends data to the op that reads it; see "Buffer hand-over"
 
     @property
     def shape(self):
@@ -255,7 +266,9 @@ def add(a, b):
         # itself, b takes a copy
         _accumulate(a, ga, owned=True)
         _accumulate(b, gb, owned=gb is not ga)
-    return _result(a.data + b.data, (a, b), backward, "add")
+    x, y = a.data, b.data
+    out = x if a._lent and x.shape == y.shape and x.dtype == y.dtype else None
+    return _result(np.add(x, y, out=out), (a, b), backward, "add")
 
 
 def sub(a, b):
@@ -279,7 +292,7 @@ def mul(a, b):
 def relu(x):
     # fmax has the bits of np.where(x > 0, x, 0), NaN -> 0 and -0 -> +0
     # included, in one pass with no mask
-    out = np.fmax(x.data, 0)
+    out = np.fmax(x.data, 0, out=x.data if x._lent else None)
     def backward(g):
         # out > 0 exactly where x > 0; the closure holds the output array,
         # not its tensor, so the node makes no reference cycle. g is masked

@@ -56,9 +56,33 @@ def test_merge_reads_two_result_files_per_pair(tmp_path):
     assert change["peak_rss_mb"]["median"] == pytest.approx(1007.0)
     assert (parent["failed_operations"], change["failed_operations"]) == (0, 1)
     assert (entry["change_faster_nominal"], entry["change_faster_wall"]) == (2, 1)
+    # lower setup_s and peak_rss_mb win: setup 0.04 < 0.05 and 0.07 > 0.06
+    assert entry["change_won"] == {"nominal_items_per_s": 2, "wall_items_per_s": 1,
+                                   "setup_s": 1, "peak_rss_mb": 0}
+    assert entry["median_ratio"] == pytest.approx({
+        "nominal_items_per_s": (32.0 / 28.8 + (128 / 3.5) / 32.0) / 2,
+        "wall_items_per_s": (51.2 / ((128 / 3 + 40) / 2) + 51.2 / 64.0) / 2,
+        "setup_s": (0.04 / 0.05 + 0.07 / 0.06) / 2,
+        "peak_rss_mb": (1010.0 / 1000.0 + 1004.0 / 1002.0) / 2})
     assert record["traced"]["parent"]["tripod-train"] == {
         "seeds": [9], "per_op": {"tensor.conv2d.bwd_s": [1.5], "wall.items_per_s": [30.0]}}
     assert record["traced"]["change"]["tripod-train"]["per_op"]["tensor.conv2d.bwd_s"] == [1.25]
+
+
+def test_memory_claim_is_won_by_the_lower_peak(tmp_path):
+    # the change holds every rate and setup time and peaks lower in two of
+    # three pairs: a tie wins nothing, in either direction
+    def pair(seed, rss):
+        return tuple([seed] + [result_file(tmp_path / f"{side}{seed}.json", [4.0], [3.0], 128,
+                                           0.05, mb) for side, mb in zip("pc", rss)])
+    entry = bench_pairs.merge({"tripod-train": [pair(1, (1100.0, 690.0)),
+                                                pair(2, (1096.0, 1096.0)),
+                                                pair(3, (1098.0, 700.0))]})["pairs"]["tripod-train"]
+    assert entry["change_won"] == {"nominal_items_per_s": 0, "wall_items_per_s": 0,
+                                   "setup_s": 0, "peak_rss_mb": 2}
+    assert (entry["change_faster_nominal"], entry["change_faster_wall"]) == (0, 0)
+    assert entry["median_ratio"]["peak_rss_mb"] == pytest.approx(700.0 / 1098.0)
+    assert entry["median_ratio"]["nominal_items_per_s"] == 1.0
 
 
 def test_seed_ranges():

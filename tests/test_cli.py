@@ -1021,6 +1021,39 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.strip() == "817402"
 
 
+def test_closed_stdout_ends_quietly():
+    # `multipod gradcheck ... --verbose | head -3`: the reader takes three
+    # progress lines and closes the pipe while many tensors are still to
+    # check; the next line ends the command, with no traceback
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "multipod", "gradcheck", "--config",
+         str(ROOT / "configs" / "toy-synthetic.json"), "--sample-stride", "7", "--verbose"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    lines = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == cli.EXIT_PIPE == 141
+    assert [line.split(b":")[0] for line in lines] == [
+        b"  pod0.stem.conv.weight", b"  pod0.stem.bn.gamma", b"  pod0.stem.bn.beta"]
+    assert err == b""
+
+
+def test_stdout_closed_before_the_first_line():
+    # the result line is still buffered when the command returns: main's
+    # flush meets the closed pipe, and the interpreter's flush at exit is quiet
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "multipod", "count-params", "--config",
+             str(ROOT / "configs" / "cifar10-tripod.json")],
+            stdout=write, stderr=subprocess.PIPE, timeout=300)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, b"")
+
+
 @pytest.mark.parametrize("preset,want", [(None, "1"), ("2", "2")])
 def test_package_pins_blas_unless_the_caller_did(tmp_path, preset, want):
     # a fresh process with neither variable set runs BLAS on one thread; a

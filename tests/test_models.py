@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import multipod.models as models
 import multipod.tensor as T
 from multipod.models import (APPROACH1, APPROACH2, CIFAR_FAMILY, IMAGENET_FAMILY,
                              MultiPodSpec, build_multipod, build_pod_base,
@@ -217,6 +218,76 @@ class TestForwardStructure:
         manual = T.linear(feat, model.store.param("head.dense.weight"),
                           model.store.param("head.dense.bias"))
         assert np.array_equal(model.forward([x], training=True).data, manual.data)
+
+
+def _owner(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+class TestBufferHandOver:
+    """Each batch norm output and residual sum lends its buffer to the relu
+    or add that reads it (``tensor``'s buffer hand-over)."""
+
+    @staticmethod
+    def pod_graph(seed=0, batch=8):
+        # one resnet20 pod with its head and loss, the nodes that have a backward
+        spec = MultiPodSpec(pods=1, base=resnet_cifar(3), fusion=APPROACH1, classes=10)
+        model = build_multipod(spec)
+        rng = np.random.default_rng(seed)
+        x = T.Tensor(rng.standard_normal((batch, 3, 32, 32)).astype(np.float32))
+        loss = T.softmax_cross_entropy(model.forward([x], training=True),
+                                       rng.integers(0, 10, batch))
+        return model, loss, [n for n in T._toposort(loss) if n._backward is not None]
+
+    def test_each_relu_writes_into_the_batch_norm_output_it_reads(self):
+        _, _, nodes = self.pod_graph()
+        relus = [n for n in nodes if n._op == "relu"]
+        assert len(relus) == 19
+        for r in relus:
+            (x,) = r._parents
+            if x._op == "add":  # a block's second relu, after the residual sum
+                assert x.data is x._parents[0].data
+                x = x._parents[0]
+            assert x._op == "batch_norm2d" and r.data is x.data
+
+    def test_graph_holds_45_buffers_not_73(self, monkeypatch):
+        counts = []
+        for lend in (True, False):
+            if not lend:
+                monkeypatch.setattr(models, "_lend", lambda t: t)
+            _, _, nodes = self.pod_graph()
+            counts.append((len(nodes), len({id(_owner(n.data)) for n in nodes})))
+        # the stem's relu and, in each of 9 blocks, the relu after bn1, the
+        # residual sum and the relu after it no longer take a buffer each
+        assert counts == [(73, 45), (73, 73)]
+
+    def test_hand_over_keeps_every_bit(self, monkeypatch):
+        runs = []
+        for lend in (True, False):
+            if not lend:
+                monkeypatch.setattr(models, "_lend", lambda t: t)
+            model, loss, _ = self.pod_graph(seed=5)
+            loss.backward()
+            runs.append([loss.data.tobytes()]
+                        + [t.grad.tobytes() for _, t in model.store.items()]
+                        + [b.mean.tobytes() + b.var.tobytes() for _, b in model.store.buffers()])
+        assert runs[0] == runs[1]
+
+    def test_relu_is_still_called_19_times_a_pod(self, rng, monkeypatch):
+        calls = []
+        plain = T.relu
+
+        def counting_relu(x):
+            calls.append(x._op)
+            return plain(x)
+
+        monkeypatch.setattr(T, "relu", counting_relu)
+        model = build_multipod(tripod(APPROACH1))
+        model.forward(feature_inputs(rng, 3), training=True)
+        assert len(calls) == 3 * 19
+        assert calls.count("batch_norm2d") == 3 * 10 and calls.count("add") == 3 * 9
 
 
 def permute_pod_params(model, target, perm, feature_dim):

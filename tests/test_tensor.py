@@ -182,6 +182,71 @@ class TestRelu:
         assert grads[0].tobytes() == grads[1].tobytes() == want.tobytes()
 
 
+def lent(arr):
+    t = T.Tensor(arr)
+    t._lent = True  # as the models lend a batch norm output or a residual sum
+    return t
+
+
+class TestBufferHandOver:
+    """A lent operand's buffer takes the relu's or add's result, with the
+    allocating op's bits; every other operand keeps its bytes."""
+
+    def test_unlent_operands_keep_their_bytes(self, rng):
+        a, b = (rng.standard_normal((2, 3, 4, 4)).astype(np.float32) for _ in range(2))
+        before = a.tobytes(), b.tobytes()
+        at, bt = T.Tensor(a), T.Tensor(b)
+        outs = T.relu(at), T.add(at, bt), T.add(bt, at)
+        assert (at.data.tobytes(), bt.data.tobytes()) == before
+        assert not any(np.shares_memory(o.data, x) for o in outs for x in (a, b))
+
+    def test_lent_relu_writes_into_its_operand(self):
+        # fmax's bits: NaN and -0 give +0, as np.where(x > 0, x, 0)
+        x = np.array([np.nan, -np.nan, -0.0, 0.0, -np.inf, np.inf, -1.0, 1e-45, 3.0],
+                     dtype=np.float32)
+        want = relu_where(x).tobytes()
+        out = T.relu(lent(x)).data
+        assert out is x and out.tobytes() == want
+
+    def test_lent_add_writes_into_its_first_operand(self, rng):
+        a, b = (rng.standard_normal((2, 3, 4, 4)).astype(np.float32) for _ in range(2))
+        want, b_bytes = (a + b).tobytes(), b.tobytes()
+        out = T.add(lent(a), T.Tensor(b)).data
+        assert out is a and out.tobytes() == want and b.tobytes() == b_bytes
+        # only the first operand is written
+        out = T.add(T.Tensor(b), lent(a.copy())).data
+        assert not np.shares_memory(out, a) and b.tobytes() == b_bytes
+
+    @pytest.mark.parametrize("a_shape,b_shape,b_dtype", [
+        ((2, 3, 4, 4), (5, 2, 3, 4, 4), np.float32),  # b carries the replica axis
+        ((2, 3, 4, 4), (3, 1, 1), np.float32),  # b broadcasts
+        ((2, 3, 4, 4), (2, 3, 4, 4), np.float64),  # the sum widens
+    ])
+    def test_lent_add_allocates_unless_shapes_and_dtypes_match(self, rng, a_shape, b_shape,
+                                                              b_dtype):
+        a = rng.standard_normal(a_shape).astype(np.float32)
+        b = rng.standard_normal(b_shape).astype(b_dtype)
+        before = a.tobytes()
+        out = T.add(lent(a), T.Tensor(b)).data
+        assert not np.shares_memory(out, a) and a.tobytes() == before
+        assert out.tobytes() == (a + b).tobytes()
+
+    def test_gradients_through_lent_buffers(self, rng):
+        # relu's backward reads its output, which is the lent buffer; add's
+        # reads no data
+        x, y = (rng.standard_normal((2, 3, 4, 4)) for _ in range(2))
+        grads = []
+        for hand_over in (False, True):
+            xt, yt = t64(x, requires_grad=True), t64(y, requires_grad=True)
+            s = T.mul(xt, t64(2.0 * np.ones_like(x)))
+            s._lent = hand_over
+            r = T.add(s, yt)
+            r._lent = hand_over
+            tensor_sum(T.relu(r)).backward()
+            grads.append((xt.grad.tobytes(), yt.grad.tobytes()))
+        assert grads[0] == grads[1]
+
+
 class TestLinear:
     def test_matches_manual_product(self, rng):
         x = t64(rng.normal(size=(4, 5)))
