@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Informational study: single network vs a k-pod model on a small training
-subset, repeated over several seed triplets. Reports best eval top-1 per run
-plus group means; asserts nothing.
+"""Informational study: a single network against the k-pod model of a run
+config, trained the same way over several seed groups. Reports the best eval
+top-1 of each run plus each arm's mean; asserts nothing.
 
-With --data it uses the binary-format CIFAR-10 directory; --synthetic runs a
-desk-scale substitute (Gaussian-blob images) when the real dataset is not
-available. Accuracy numbers from the substitute say nothing about benchmark
-accuracy; they only exercise the same comparison machinery end to end.
+Every arm trains on the config's data, schedule and augmentation. In seed
+group t the k-pod arm is the config's model with each pod seed raised by k*t,
+the single arm is that model with one pod and the first of those seeds, and
+both augment with seed `seed + t`. So group 0's k-pod arm is the run that
+`multipod train --config F` trains. `--subset N` trains every arm on the first
+N images of a fixed permutation of the train set. Accuracy on synthetic data
+says nothing about benchmark accuracy; it only exercises the comparison.
+
+    PYTHONPATH=src python scripts/subset_comparison.py --config configs/toy-synthetic.json
 """
 
 import argparse
@@ -16,34 +21,10 @@ import time
 
 import numpy as np
 
-from multipod.data import AugmentationSpec, load_cifar10, synthetic_dataset
-from multipod.models import (APPROACH1, MultiPodSpec, build_multipod,
-                             count_params, resnet_cifar)
-from multipod.training import TrainingSchedule, train
-
-
-def milestones_for(epochs):
-    ms = sorted({int(epochs * 0.5), int(epochs * 0.85)})
-    return tuple(m for m in ms if 0 < m < epochs)
-
-
-def build_setting(args):
-    if args.data:
-        train_full, test = load_cifar10(args.data)
-        order = np.random.default_rng(0).permutation(len(train_full))
-        subset = train_full.subset(order[:args.subset])
-        aug = AugmentationSpec(pad=4, crop_size=32, hflip_prob=0.5, seed=0)
-        base = resnet_cifar(args.n)
-        classes = 10
-        return subset, test, aug, base, classes
-    samples = args.subset
-    data = synthetic_dataset(10, samples + args.eval_samples, 16, seed=1)
-    subset = data.subset(np.arange(samples))
-    test = data.subset(np.arange(samples, samples + args.eval_samples))
-    aug = AugmentationSpec(pad=2, crop_size=16, hflip_prob=0.5, seed=0,
-                           mean=(0.5, 0.5, 0.5), std=(0.25, 0.25, 0.25))
-    base = resnet_cifar(args.n)
-    return subset, test, aug, base, 10
+from multipod.config import load_config, load_data
+from multipod.data import DataError
+from multipod.models import build_multipod, count_params
+from multipod.training import train
 
 
 def run_one(label, spec, train_batch, eval_batch, sched, aug):
@@ -55,67 +36,60 @@ def run_one(label, spec, train_batch, eval_batch, sched, aug):
     return result.best_top1
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--data", help="directory with the binary dataset files")
-    source.add_argument("--synthetic", action="store_true",
-                        help="use the desk-scale synthetic substitute")
-    parser.add_argument("--subset", type=int, default=None,
-                        help="training subset size (default 5000 real, 256 synthetic)")
-    parser.add_argument("--eval-samples", type=int, default=128,
-                        help="synthetic eval set size")
-    parser.add_argument("--epochs", type=int, default=None,
-                        help="default 30 real, 20 synthetic")
-    parser.add_argument("--batch-size", type=int, default=None,
-                        help="default 128 real, 32 synthetic")
-    parser.add_argument("--n", type=int, default=None,
-                        help="blocks per stage (default 3 real, 1 synthetic)")
-    parser.add_argument("--pods", type=int, default=3)
-    parser.add_argument("--triplets", type=int, default=3,
-                        help="number of seed groups to average over")
-    args = parser.parse_args()
-    if args.subset is None:
-        args.subset = 5000 if args.data else 256
-    if args.epochs is None:
-        args.epochs = 30 if args.data else 20
-    if args.batch_size is None:
-        args.batch_size = 128 if args.data else 32
-    if args.n is None:
-        args.n = 3 if args.data else 1
+def study(args):
+    for flag, value in (("--groups", args.groups), ("--subset", args.subset)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} {value} must be >= 1")
+    cfg = load_config(args.config)
+    k = cfg.model.pods
+    if k == 1:
+        raise ValueError("model.pods: must be >= 2 to compare with a single pod, got 1")
+    train_batch, eval_batch = load_data(cfg)
+    if args.subset is not None:
+        if args.subset > len(train_batch):
+            raise ValueError(f"--subset {args.subset} must be <= {len(train_batch)}, "
+                             "the train set's size")
+        order = np.random.default_rng(0).permutation(len(train_batch))
+        train_batch = train_batch.subset(order[:args.subset])
 
-    train_batch, eval_batch, aug, base, classes = build_setting(args)
-    sched = TrainingSchedule(base_lr=0.1, milestones=milestones_for(args.epochs),
-                             epochs=args.epochs, batch_size=args.batch_size)
+    sched = cfg.schedule
     print(f"{len(train_batch)} train / {len(eval_batch)} eval samples, "
-          f"{args.epochs} epochs, milestones {sched.milestones}, "
-          f"{args.pods}-pod vs single, base n={base.n}")
-    if args.synthetic:
+          f"{sched.epochs} epochs, milestones {sched.milestones}, "
+          f"{k}-pod vs single, base n={cfg.model.base.n}")
+    if cfg.data["kind"] == "synthetic":
         print("note: synthetic substitute; numbers are not benchmark accuracy")
 
-    singles = []
-    multis = []
-    for t in range(args.triplets):
-        seeds = tuple(range(args.pods * t, args.pods * (t + 1)))
+    singles, multis = [], []
+    for t in range(args.groups):
+        seeds = tuple(s + k * t for s in cfg.model.seeds)
         print(f"  seed group {t}: seeds {seeds}")
-        aug_t = dataclasses.replace(aug, seed=1000 + t)
-        single = MultiPodSpec(pods=1, base=base, fusion=APPROACH1,
-                              classes=classes, seeds=(seeds[0],))
-        multi = MultiPodSpec(pods=args.pods, base=base, fusion=APPROACH1,
-                             classes=classes, seeds=seeds)
-        singles.append(run_one("single ", single, train_batch, eval_batch, sched, aug_t))
-        multis.append(run_one(f"{args.pods}-pod ", multi, train_batch, eval_batch,
-                              sched, aug_t))
+        multi = dataclasses.replace(cfg.model, seeds=seeds)
+        single = dataclasses.replace(multi, pods=1, seeds=seeds[:1])
+        aug = dataclasses.replace(cfg.augmentation, seed=cfg.seed + t)
+        singles.append(run_one("single ", single, train_batch, eval_batch, sched, aug))
+        multis.append(run_one(f"{k}-pod ", multi, train_batch, eval_batch, sched, aug))
 
-    def stats(xs):
-        return float(np.mean(xs)), float(np.std(xs))
-
-    s_mean, s_std = stats(singles)
-    m_mean, m_std = stats(multis)
-    print(f"single: mean best top1 {s_mean:.4f} (std {s_std:.4f})")
-    print(f"{args.pods}-pod: mean best top1 {m_mean:.4f} (std {m_std:.4f})")
-    print(f"gap ({args.pods}-pod minus single): {m_mean - s_mean:+.4f}")
+    for label, tops in (("single", singles), (f"{k}-pod", multis)):
+        print(f"{label}: mean best top1 {np.mean(tops):.4f} (std {np.std(tops):.4f})")
+    print(f"gap ({k}-pod minus single): {np.mean(multis) - np.mean(singles):+.4f}")
     return 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--config", required=True, help="the run config of the k-pod arm")
+    parser.add_argument("--subset", type=int,
+                        help="train on the first N of a fixed permutation of the train set "
+                        "(default: all of it)")
+    parser.add_argument("--groups", type=int, default=3,
+                        help="number of seed groups to average over")
+    args = parser.parse_args(argv)
+    try:
+        return study(args)
+    except (DataError, ValueError) as e:  # a ConfigError too, reported as `multipod` does
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

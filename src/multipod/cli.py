@@ -34,8 +34,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_PIPE = 141
 
-OUTPUT_DIR_ENV = "MULTIPOD_OUTPUT_DIR"
-
 # Environment variables that set the BLAS thread count, most specific first.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -57,9 +55,11 @@ def _machine():
 
 
 def cmd_train(args):
+    if args.output_dir == "":
+        raise ValueError("--output-dir must be a non-empty path")
     cfg = load_config(args.config)
 
-    out_dir = args.output_dir or cfg.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "runs"
+    out_dir = args.output_dir or cfg.output_dir or "runs"
     # the data, the resume checkpoint and its log are checked before any artifact is
     # written, so a run that fails on them leaves its directory as it was
     train_batch, eval_batch = load_data(cfg)

@@ -65,7 +65,8 @@ class RunConfig(Spec):
                                          f"expected {SCHEMA_VERSION}")),
         ("seed", INTEGER, rule(lambda seed: seed >= 0, "must be a non-negative int")),
         ("output_dir", Kind(lambda path: path is None or isinstance(path, str),
-                            lambda path, _: path, "must be a string path"), None),
+                            lambda path, _: path, "must be a string path"),
+         rule(bool, "must be a non-empty path")),
         ("model", nested(MultiPodSpec, "required object"), None),
         ("data", Kind(lambda d: isinstance(d, dict), _data_section, "required object"), None),
         ("schedule", nested(TrainingSchedule), None),

@@ -269,8 +269,9 @@ def test_criterion_7_benchmark_scale_accuracy(capsys):
                   "asserted; run scripts/subset_comparison.py for the study")
         pytest.skip("informational criterion, not a gate")
     script = REPO_ROOT / "scripts" / "subset_comparison.py"
-    proc = subprocess.run([sys.executable, str(script), "--synthetic", "--epochs", "8",
-                           "--triplets", "1"], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, str(script), "--config",
+                           str(REPO_ROOT / "configs" / "toy-synthetic.json"), "--groups", "1"],
+                          capture_output=True, text=True)
     with capsys.disabled():
         print("\n[INFO] criterion 7 (informational):")
         print(proc.stdout)

@@ -377,12 +377,19 @@ class TestTrain:
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_output_dir_env_fallback(self, tmp_path, capsys, monkeypatch):
-        env_dir = tmp_path / "from-env"
-        monkeypatch.setenv("MULTIPOD_OUTPUT_DIR", str(env_dir))
-        cfg = write_config(tmp_path, out_dir=None, **{"schedule.epochs": 1})
-        assert main(["train", "--config", cfg]) == 0
-        assert (env_dir / "train_log.jsonl").exists()
+    @pytest.mark.parametrize("out_dir,flags,line", [
+        ("", [], "output_dir: must be a non-empty path, got ''"),
+        (None, ["--output-dir", ""], "error: --output-dir must be a non-empty path")],
+        ids=["config", "flag"])
+    def test_empty_output_dir_is_refused(self, tmp_path, capsys, monkeypatch, out_dir, flags,
+                                         line):
+        # an empty path is not read as unset, which would write under ./runs
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, out_dir=out_dir)
+        assert main(["train", "--config", cfg, *flags]) == 2
+        err = capsys.readouterr().err
+        assert line in err and err.count("error:") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_resume_continues_epoch_numbering(self, tmp_path, capsys):
         # a run is lengthened by raising schedule.epochs in its config.json
@@ -624,7 +631,6 @@ class TestTrain:
     def test_missing_dataset_path(self, tmp_path, capsys, monkeypatch):
         # no output dir is set, so the run would write under ./runs
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("MULTIPOD_OUTPUT_DIR", raising=False)
         cfg = write_config(tmp_path, **{"data": {"kind": "cifar10",
                                                  "path": str(tmp_path / "nowhere")}},
                            **{"model.classes": 10})
