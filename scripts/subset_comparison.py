@@ -24,7 +24,7 @@ import numpy as np
 from multipod.config import load_config, load_data
 from multipod.data import DataError
 from multipod.models import build_multipod, count_params
-from multipod.training import train
+from multipod.training import NumericalAbort, train
 
 
 def run_one(label, spec, train_batch, eval_batch, sched, aug):
@@ -90,6 +90,9 @@ def main(argv=None):
     except (DataError, ValueError) as e:  # a ConfigError too, reported as `multipod` does
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except NumericalAbort as e:  # exit 3, as `multipod train` ends on one
+        print(f"numerical abort: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

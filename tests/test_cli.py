@@ -12,14 +12,17 @@ import numpy as np
 import pytest
 
 import multipod.cli as cli
+import multipod.tensor as T
 import multipod.training as training
 from multipod.checks import FieldError
 from multipod.cli import main
 from multipod.config import MAX_IMAGE_SIZE, MAX_SAMPLES, ConfigError, load_data, parse_config
 from multipod.data import (AugmentationSpec, DataError, JitterSpec, make_pod_inputs, normalize,
                            read_ppm, write_ppm)
+from multipod.gradcheck import gradient_check
 from multipod.models import (APPROACH2, CIFAR_FAMILY, MAX_BLOCKS, MAX_CLASSES, MAX_PODS,
-                             MultiPodSpec, PodBaseSpec, count_params, resnet_cifar)
+                             MultiPodSpec, PodBaseSpec, build_multipod, count_params,
+                             resnet_cifar)
 from multipod.training import MAX_BATCH_SIZE, MAX_EPOCHS, TrainingSchedule
 from test_data import fake_cifar_dir
 from test_training import BAD_CHECKPOINTS, BAD_LOG_LINES
@@ -259,9 +262,24 @@ class TestCountParams:
 class TestGradcheck:
     def test_subsampled_pass(self, capsys):
         assert main(["gradcheck", "--config", str(ROOT / "configs" / "toy-synthetic.json"),
-                     "--size", "8", "--batch", "2", "--sample-stride", "997"]) == 0
+                     "--sample-stride", "997"]) == 0
         out = capsys.readouterr().out
         assert "checked" in out and "worst relative error" in out
+
+    def test_runs_criterion_2s_check(self, tmp_path, capsys):
+        # criterion 2's model and inputs: the tripod of n=1 pods, batch 2 at 8x8 from seed 2701
+        cfg = write_config(tmp_path, **{"model.pods": 3, "model.seeds": [0, 1, 2],
+                                        "model.classes": 10, "data.classes": 10})
+        assert main(["gradcheck", "--config", cfg, "--sample-stride", "97"]) == 0
+        spec = MultiPodSpec(pods=3, base=resnet_cifar(1), classes=10, seeds=(0, 1, 2))
+        model = build_multipod(spec, dtype=np.float64)
+        rng = np.random.default_rng(2701)
+        inputs = [T.Tensor(rng.normal(0.0, 1.0, (2, 3, 8, 8)), dtype=np.float64)
+                  for _ in range(3)]
+        report = gradient_check(model, inputs, rng.integers(0, 10, size=2), sample_stride=97)
+        assert capsys.readouterr().out == (
+            f"checked {report.checked} parameters; "
+            f"worst relative error {report.worst_rel:.3e} ({report.worst_param})\n")
 
     def test_scale_fusion_product_model_from_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"model.fusion": APPROACH2, "model.combine_mode": "product"})
@@ -270,28 +288,48 @@ class TestGradcheck:
         checked = re.findall(r"^  (head\.\S+):", capsys.readouterr().out, re.M)
         assert checked == ["head.scale0", "head.scale1", "head.dense.weight", "head.dense.bias"]
 
-    def test_failing_check_exits_1(self, tmp_path, capsys):
-        # a step this coarse puts finite differences far off the analytic gradient
-        cfg = write_config(tmp_path, **{"model.pods": 1, "model.seeds": [0]})
-        assert main(["gradcheck", "--config", cfg, "--size", "8", "--batch", "2",
-                     "--h", "0.1", "--sample-stride", "4999"]) == 1
-        assert "gradient check failed" in capsys.readouterr().err
+    def test_failing_check_exits_1(self, tmp_path, capsys, monkeypatch):
+        # one conv's backward scales its weight gradient by 1 + 1e-3: only that tensor fails
+        faulted = "pod0.stage1.block0.conv1.weight"
+        built = []
+        plain_build, plain = cli.build_multipod, T.conv2d
 
-    def test_oversized_input_rejected(self, tmp_path, capsys):
-        assert main(["gradcheck", "--config", write_config(tmp_path), "--size", "17"]) == 2
-        assert "max 16" in capsys.readouterr().err
+        def build(*args, **kwargs):
+            built.append(plain_build(*args, **kwargs))
+            return built[-1]
+
+        def faulty_conv2d(x, weight, stride=1, padding=0):
+            out = plain(x, weight, stride=stride, padding=padding)
+            if weight is built[0].store.param(faulted) and out._backward is not None:
+                inner = out._backward
+
+                def backward(g):
+                    inner(g)
+                    weight.grad *= 1 + 1e-3
+                out._backward = backward
+            return out
+
+        monkeypatch.setattr(cli, "build_multipod", build)
+        monkeypatch.setattr(T, "conv2d", faulty_conv2d)
+        cfg = write_config(tmp_path, **{"model.pods": 1, "model.seeds": [0]})
+        assert main(["gradcheck", "--config", cfg, "--sample-stride", "97"]) == 1
+        captured = capsys.readouterr()
+        assert f"({faulted})" in captured.out
+        assert captured.err.splitlines() == [f"gradient check failed for: {faulted}"]
 
     def test_bad_stride_rejected(self, tmp_path, capsys):
         assert main(["gradcheck", "--config", write_config(tmp_path), "--sample-stride", "0"]) == 2
 
-    BAD_FLAGS = [(["--batch", "0"], "error: --batch 0 must be >= 1"),
-                 (["--size", "0"], "error: --size 0 must be >= 1"),
-                 (["--size", "17"], "error: --size 17 too large for finite differences (max 16)"),
-                 (["--sample-stride", "0"], "error: --sample-stride 0 must be >= 1"),
-                 *(([flag, t], f"error: {flag} {float(t)} must be finite and > 0")
-                   for flag in ("--tolerance", "--h") for t in ("-1", "0", "nan", "inf")),
+    # criterion 2's inputs, step and tolerance are fixed: no flag sets them, to
+    # its own value or to a bad one
+    BAD_FLAGS = [(["--sample-stride", "0"], "error: --sample-stride 0 must be >= 1"),
                  *((flags, unrecognized(flags))
-                   for flags in (["--pods", "0"], ["--n", "0"], ["--classes", "1"],
+                   for flags in (["--size", "8"], ["--batch", "2"], ["--seed", "1"],
+                                 ["--h", "1e-5"], ["--tolerance", "1e-5"],
+                                 ["--batch", "0"], ["--size", "0"], ["--size", "17"],
+                                 *([flag, t] for flag in ("--tolerance", "--h")
+                                   for t in ("-1", "0", "nan", "inf")),
+                                 ["--pods", "0"], ["--n", "0"], ["--classes", "1"],
                                  ["--fusion", "approach2"], ["--combine", "product"]))]
 
     @pytest.mark.parametrize("flags,line", BAD_FLAGS,
@@ -309,13 +347,15 @@ class TestGradcheck:
         assert refusal(captured.err) == line
 
     def test_nonpositive_step_rejected(self, tmp_path, capsys):
+        # the step is criterion 2's fixed 1e-5: a zero step has no flag to ride on
         assert main(["gradcheck", "--config", write_config(tmp_path), "--h", "0",
                      "--sample-stride", "997"]) == 2
-        assert capsys.readouterr().err.splitlines() == ["error: --h 0.0 must be finite and > 0"]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert refusal(captured.err) == unrecognized(["--h", "0"])
 
     def test_flags_are_the_config_and_the_checks_own(self):
-        assert parser_flags()["gradcheck"] == {"--config", "--size", "--batch", "--seed", "--h",
-                                               "--tolerance", "--sample-stride", "--verbose"}
+        assert parser_flags()["gradcheck"] == {"--config", "--sample-stride", "--verbose"}
 
 
 class TestTrain:
@@ -1016,6 +1056,19 @@ def test_readme_cli_table_names_each_subcommands_flags():
     documented = {row.split()[1]: set(re.findall(r"--[a-z][a-z-]*", row)) for row in rows}
     assert len(documented) == len(rows)
     assert documented == parser_flags()
+
+
+@pytest.mark.parametrize("command,required,flags", [
+    ("train", [], ["--output", "runs"]), ("count-params", [], ["--exp", "1"]),
+    ("gradcheck", [], ["--sample", "97"]), ("gradcheck", [], ["--h"]),
+    ("eval", ["--checkpoint", "c"], ["--proto", "center"]),
+    ("augment-preview", ["--out", "views"], ["--ind", "0"])])
+def test_a_flag_is_read_only_as_spelled(tmp_path, capsys, command, required, flags):
+    # a prefix is no flag: `--h` is not `--help`, and a removed flag is not read as a kept one
+    assert main([command, "--config", write_config(tmp_path), *required, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert refusal(captured.err) == unrecognized(flags)
 
 
 def test_module_entry_point(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from multipod.config import load_config, load_data
+from multipod.training import NumericalAbort
 from test_cli import toy_config_doc, tweaked
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "subset_comparison.py"
@@ -100,3 +101,20 @@ def test_bad_input_is_refused_before_any_run(tmp_path, capsys, monkeypatch, runs
     assert captured.err.startswith("error: ") and captured.err.count("error:") == 1
     assert line in captured.err
     assert captured.out == "" and runs == []
+
+
+def test_numerical_abort_ends_the_study_as_train_does(tmp_path, capsys, monkeypatch, runs):
+    record = subset_comparison.train
+
+    def abort_second_run(*args):
+        if len(runs) == 1:
+            raise NumericalAbort("non-finite loss at epoch 0, step 2")
+        return record(*args)
+
+    monkeypatch.setattr(subset_comparison, "train", abort_second_run)
+    assert subset_comparison.main(["--config", write_config(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numerical abort: non-finite loss at epoch 0, step 2\n"
+    # the first arm's line was printed before the abort, and nothing follows it
+    assert captured.out.splitlines()[-1].startswith("    single : best top1 0.1000 (")
+    assert len(runs) == 1
