@@ -31,9 +31,9 @@ def run_one(label, spec, train_batch, eval_batch, sched, aug):
     model = build_multipod(spec)
     t0 = time.time()
     result = train(model, train_batch, eval_batch, sched, aug)
-    print(f"    {label}: best top1 {result.best_top1:.4f} "
+    print(f"    {label}: best top1 {result.best.eval_top1:.4f} "
           f"({count_params(spec):,} params, {time.time() - t0:.0f}s)", flush=True)
-    return result.best_top1
+    return result.best.eval_top1
 
 
 def study(args):

@@ -4,14 +4,16 @@ Subcommands: train, count-params, gradcheck (criterion 2's gradient check),
 eval, augment-preview (the view each pod of a run config gets from one sample
 in epoch 0, as PPM files). Every subcommand reads the run config `--config`; no
 flag describes a model, and no flag is read from a prefix of its name.
-Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numerical abort,
-141 stdout closed by its reader (as a shell reports a process ended by SIGPIPE;
-the command stops at its next write, with no traceback).
+Exit codes: 0 success, 1 check failure, 2 usage/config error or an output path
+that cannot be written, 3 numerical abort, 141 stdout closed by its reader (as a
+shell reports a process ended by SIGPIPE; the command stops at its next write,
+with no traceback).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -21,13 +23,13 @@ import sys
 import numpy as np
 
 from . import tensor as T
-from .config import ConfigError, load_config, load_data
+from .config import load_config, load_data
 from .checks import FieldError
 from .data import DataError, make_pod_inputs, read_ppm, write_ppm
 from .gradcheck import gradient_check
 from .models import build_multipod, count_params
 from .training import (CheckpointError, NumericalAbort, evaluate_center_crop,
-                       evaluate_ten_crop, load_checkpoint, read_log, train,
+                       evaluate_ten_crop, load_checkpoint, resumed_log, train,
                        write_atomically)
 
 EXIT_OK = 0
@@ -77,32 +79,31 @@ def cmd_train(args):
     resume = None
     if args.resume:
         resume = load_checkpoint(os.path.join(out_dir, "last.ckpt"))
+        resumed_log(out_dir, resume)
         resume.check(model, cfg.augmentation.seed)
-        read_log(os.path.join(out_dir, "train_log.jsonl"))
 
     os.makedirs(out_dir, exist_ok=True)
+    if resume is None:  # a fresh run leaves no summary of a previous one
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, "summary.json"))
     effective = dataclasses.replace(cfg, output_dir=out_dir).to_dict()
     del effective["augmentation"]["seed"]  # it is the run seed, so the file states it once
     write_atomically(os.path.join(out_dir, "config.json"),
                      lambda f: f.write(json.dumps(effective, indent=2) + "\n"))
 
-    def progress(record, _model):
+    def progress(record):
         print(f"epoch {record.epoch}: lr={record.lr:g} "
               f"train_loss={record.train_loss:.4f} train_acc={record.train_acc:.4f} "
               f"eval_top1={record.eval_top1:.4f} eval_top5={record.eval_top5:.4f}",
               flush=True)
-        return False
 
     result = train(model, train_batch, eval_batch, cfg.schedule, cfg.augmentation,
                    out_dir=out_dir, resume_from=resume, early_stop=progress)
-
-    # the best epoch of the whole run, resumed or not: the first peak, as in best.ckpt
-    best = max((r.to_dict() for r in read_log(os.path.join(out_dir, "train_log.jsonl"))),
-               key=lambda r: r["eval_top1"], default={})
+    best = result.best  # the whole run's, resumed or not
     summary = {
-        "best_top1": best.get("eval_top1"),
-        "best_top5": best.get("eval_top5"),
-        "best_epoch": best.get("epoch"),
+        "best_top1": best.eval_top1,
+        "best_top5": best.eval_top5,
+        "best_epoch": best.epoch,
         "param_count": count_params(cfg.model),
         "epochs_run": len(result.records),
         "wall_time": result.wall_time,
@@ -110,7 +111,7 @@ def cmd_train(args):
     }
     write_atomically(os.path.join(out_dir, "summary.json"),
                      lambda f: f.write(json.dumps(summary, indent=2) + "\n"))
-    print(f"best eval top1={result.best_top1:.4f}; artifacts in {out_dir}")
+    print(f"best eval top1={best.eval_top1:.4f}; artifacts in {out_dir}")
     return EXIT_OK
 
 
@@ -258,13 +259,13 @@ def _run(argv):
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, DataError, CheckpointError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    except BrokenPipeError:
+        raise  # main ends the command quietly
     except NumericalAbort as e:
         print(f"numerical abort: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, T.StateError) as e:
+    # an OSError is an artifact that could not be written, such as an output path that is a file
+    except (ValueError, DataError, CheckpointError, T.StateError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,6 +8,7 @@ derives from the model spec's pod seeds.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -104,11 +105,8 @@ class TrainLogRecord:
     eval_top5: float
     wall_time: float
 
-    def to_dict(self):
-        return asdict(self)
-
     def line(self):
-        return json.dumps(self.to_dict()) + "\n"
+        return json.dumps(asdict(self)) + "\n"
 
     def comparable(self):
         """All fields except wall-time; the unit of the determinism contract."""
@@ -348,47 +346,58 @@ def load_checkpoint(path):
     return ckpt
 
 
+def resumed_log(out_dir, ckpt):
+    """The records of epochs 0..ckpt.epoch-1 in ``out_dir``'s log: what a resume keeps."""
+    path = os.path.join(out_dir, "train_log.jsonl")
+    kept = [r for r in read_log(path) if r.epoch < ckpt.epoch]
+    if [r.epoch for r in kept] != list(range(ckpt.epoch)):
+        raise CheckpointError(f"cannot resume at epoch {ckpt.epoch}: {path} does not log "
+                              f"epochs 0 to {ckpt.epoch - 1}, each once and in order")
+    return kept
+
+
 @dataclass
 class TrainResult:
     records: list
-    best: Checkpoint | None
-    best_top1: float
+    best: TrainLogRecord | None  # the first peak of eval top-1: see train
     wall_time: float
 
 
 def train(model, train_batch, eval_batch, schedule, aug, out_dir=None,
           resume_from=None, early_stop=None):
-    """Run the full schedule; returns records plus the best checkpoint.
+    """Run the full schedule; returns this call's records and the run's best.
 
     Per epoch: seeded shuffle, per-batch augmentation with per-pod routing,
-    forward/backward/SGD with lr_at_epoch, then a full center-crop evaluation.
-    The checkpoint with the best eval top-1 is retained (first best wins on
-    ties). A non-finite loss aborts with the epoch and step in the message.
-    With ``out_dir``, records are appended to its ``train_log.jsonl`` after
-    dropping those of epochs at or past the start: a fresh run starts a clean
-    log, and a resumed run drops any epoch its checkpoint does not hold.
+    forward/backward/SGD with lr_at_epoch, a full center-crop evaluation, then
+    ``early_stop(record)``, which ends the run by returning True. The best is the
+    first record with the highest eval top-1 of those a resume keeps and this
+    call's. A non-finite loss aborts with the epoch and step in the message. With
+    ``out_dir``, records go to its ``train_log.jsonl`` and each epoch to ``last.ckpt``
+    and, if best, ``best.ckpt``; a fresh run removes both and starts a clean log.
     """
     aug.check_crop(train_batch.pixels.shape[-1])
     store = model.store
     k = model.spec.pods
     seed = aug.seed
-    start_epoch = 0
-    best_top1 = -1.0
-    best = None
+    start_epoch, kept = 0, []
     if resume_from is not None:
+        if out_dir is not None:
+            kept = resumed_log(out_dir, resume_from)
         resume_from.apply(model, seed)
         start_epoch = resume_from.epoch
-        best_top1 = resume_from.best_top1
 
     log_file = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        if resume_from is None:  # leave no previous run's state for a resume to continue
+            for name in ("last.ckpt", "best.ckpt"):
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(os.path.join(out_dir, name))
         log_path = os.path.join(out_dir, "train_log.jsonl")
-        # keep only the records of epochs before the start, written whole
-        kept = [r for r in read_log(log_path) if r.epoch < start_epoch] if start_epoch else []
         write_atomically(log_path, lambda f: f.writelines(r.line() for r in kept))
         log_file = open(log_path, "a")
 
+    best = max(kept, key=lambda r: r.eval_top1, default=None)  # max keeps the first peak
     n = len(train_batch)
     records = []
     t0 = time.time()
@@ -426,16 +435,15 @@ def train(model, train_batch, eval_batch, schedule, aug, out_dir=None,
             if log_file is not None:
                 log_file.write(record.line())
                 log_file.flush()
-            ckpt = Checkpoint.from_model(model, epoch + 1, seed, max(best_top1, ev.top1))
-            if ev.top1 > best_top1:
-                best_top1, best = ev.top1, ckpt
-                if out_dir is not None:
-                    save_checkpoint(ckpt, os.path.join(out_dir, "best.ckpt"))
+            best = max(best or record, record, key=lambda r: r.eval_top1)
             if out_dir is not None:
+                ckpt = Checkpoint.from_model(model, epoch + 1, seed, best.eval_top1)
+                if best is record:
+                    save_checkpoint(ckpt, os.path.join(out_dir, "best.ckpt"))
                 save_checkpoint(ckpt, os.path.join(out_dir, "last.ckpt"))
-            if early_stop is not None and early_stop(record, model):
+            if early_stop is not None and early_stop(record):
                 break
     finally:
         if log_file is not None:
             log_file.close()
-    return TrainResult(records, best, best_top1, time.time() - t0)
+    return TrainResult(records, best, time.time() - t0)

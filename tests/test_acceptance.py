@@ -212,7 +212,7 @@ def test_criterion_5_small_set_memorization(capsys):
                                  batch_size=16)
         t0 = time.time()
         result = train(model, data, data, sched, aug,
-                       early_stop=lambda rec, m: rec.train_acc == 1.0)
+                       early_stop=lambda rec: rec.train_acc == 1.0)
         epochs = len(result.records)
         # the epoch count is chaotic; the time per epoch is the steady measure
         notes.append(f"{epochs} epochs, {(time.time() - t0) / epochs:.2f}s per epoch")
@@ -243,7 +243,7 @@ def test_criterion_6_determinism_and_persistence(capsys, tmp_path):
 
         model_c, *_ = setup()
         train(model_c, train_b, eval_b, sched, aug, out_dir=str(tmp_path / "c"),
-              early_stop=lambda rec, m: rec.epoch == 2)  # stop after 3 of 6 epochs
+              early_stop=lambda rec: rec.epoch == 2)  # stop after 3 of 6 epochs
         ckpt = load_checkpoint(tmp_path / "c" / "last.ckpt")
         assert ckpt.epoch == 3
         model_d, *_ = setup()

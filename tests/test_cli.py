@@ -646,6 +646,73 @@ class TestTrain:
         assert "checkpoint" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
+    def test_resumed_run_reports_the_first_peak_of_its_whole_log(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        out_dir = tmp_path / "run"
+        first = write_config(tmp_path, "first.json", out_dir=str(out_dir),
+                             **{"schedule.epochs": 1})
+        assert main(["train", "--config", first]) == 0
+        results = []
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: results.append(
+            training.train(*args, **kwargs)) or results[-1])
+        cfg = write_config(tmp_path, out_dir=str(out_dir), **{"schedule.epochs": 3})
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--resume"]) == 0
+        log = training.read_log(out_dir / "train_log.jsonl")
+        assert [r.epoch for r in log] == [0, 1, 2]
+        tops = [r.eval_top1 for r in log]
+        peak = log[tops.index(max(tops))]
+        [result] = results
+        assert result.best == peak and len(result.records) == 2
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert (summary["best_top1"], summary["best_top5"], summary["best_epoch"]) == (
+            peak.eval_top1, peak.eval_top5, peak.epoch)
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"best eval top1={peak.eval_top1:.4f}; artifacts in {out_dir}")
+
+    @pytest.mark.parametrize("edit", [lambda log: log.write_text(log.read_text().splitlines(
+        keepends=True)[1]), lambda log: log.unlink()], ids=["epoch-missing", "deleted"])
+    def test_resume_without_each_epochs_record_is_refused(self, tmp_path, capsys, edit):
+        out_dir = tmp_path / "run"
+        cfg = write_config(tmp_path, out_dir=str(out_dir))
+        assert main(["train", "--config", cfg]) == 0
+        edit(out_dir / "train_log.jsonl")
+        line = refused_resume(cfg, out_dir, capsys)
+        assert line == (f"error: cannot resume at epoch 2: {out_dir / 'train_log.jsonl'} "
+                        "does not log epochs 0 to 1, each once and in order")
+
+    def test_fresh_run_crashed_in_a_used_directory_leaves_nothing_to_resume(
+            self, tmp_path, capsys, monkeypatch):
+        out_dir = tmp_path / "run"
+        cfg = write_config(tmp_path, out_dir=str(out_dir))
+        assert main(["train", "--config", cfg]) == 0
+
+        def crash(*args):
+            raise RuntimeError("crash in the first step")
+
+        monkeypatch.setattr(training, "sgd_step", crash)
+        with pytest.raises(RuntimeError, match="crash"):
+            main(["train", "--config", cfg])
+        monkeypatch.undo()
+        # the previous run's checkpoints and summary are gone, its log emptied
+        assert sorted(p.name for p in out_dir.iterdir()) == ["config.json", "train_log.jsonl"]
+        assert (out_dir / "train_log.jsonl").read_text() == ""
+        line = refused_resume(cfg, out_dir, capsys)
+        assert line == f"error: checkpoint not found: {out_dir / 'last.ckpt'}"
+
+    def test_output_dir_that_is_a_file_is_one_error_line(self, tmp_path, capsys):
+        out_file = tmp_path / "taken"
+        out_file.write_text("not a directory\n")
+        cfg = write_config(tmp_path, out_dir=str(out_file))
+        before = sorted(tmp_path.iterdir())
+        assert main(["train", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and str(out_file) in line
+        assert sorted(tmp_path.iterdir()) == before
+        assert out_file.read_text() == "not a directory\n"
+
     def test_cifar10_crop_larger_than_padded_image_leaves_nothing(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
         data_dir = tmp_path / "data"
@@ -1039,6 +1106,18 @@ class TestAugmentPreview:
         assert capsys.readouterr().err.splitlines() == [
             "error: --index 24 must be < 24, the train set's size"]
         assert not out.exists()
+
+    def test_out_that_is_a_file_is_one_error_line(self, tmp_path, capsys):
+        (tmp_path / "views").write_text("not a directory\n")
+        before = sorted(tmp_path.iterdir())
+        code, out = self.preview(tmp_path)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and str(out) in line
+        assert sorted(tmp_path.iterdir()) == sorted(before + [tmp_path / "config.json"])
+        assert out.read_text() == "not a directory\n"
 
     def test_unreadable_image_rejected(self, tmp_path, capsys):
         code, out = self.preview(tmp_path, "--image", str(tmp_path / "missing.ppm"))

@@ -36,7 +36,7 @@ def runs(monkeypatch):
     def record(model, train_batch, eval_batch, schedule, aug):
         calls.append(SimpleNamespace(spec=model.spec, train=train_batch, eval=eval_batch,
                                      schedule=schedule, aug=aug))
-        return SimpleNamespace(best_top1=len(calls) / 10)
+        return SimpleNamespace(best=SimpleNamespace(eval_top1=len(calls) / 10))
 
     monkeypatch.setattr(subset_comparison, "train", record)
     return calls

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import re
 import weakref
 
 import numpy as np
@@ -490,8 +491,10 @@ GOOD_RECORD = TrainLogRecord(epoch=0, lr=0.05, train_loss=1.25, train_acc=0.5, e
 BAD_LOG_LINES = {
     "list": ("[1]", "must be a mapping"),
     "empty-object": ("{}", "missing 8 required"),
-    "no-eval_top1": (json.dumps(without(GOOD_RECORD.to_dict(), "eval_top1")), "eval_top1"),
-    "epoch-x": (json.dumps({**GOOD_RECORD.to_dict(), "epoch": "x"}), "epoch must be an integer"),
+    "no-eval_top1": (json.dumps(without(dataclasses.asdict(GOOD_RECORD), "eval_top1")),
+                     "eval_top1"),
+    "epoch-x": (json.dumps({**dataclasses.asdict(GOOD_RECORD), "epoch": "x"}),
+                "epoch must be an integer"),
 }
 
 
@@ -567,7 +570,7 @@ class TestTrainLoop:
         result = train(model, train_batch, eval_batch, sched, aug, out_dir=str(tmp_path))
         lines = (tmp_path / "train_log.jsonl").read_text().splitlines()
         assert len(lines) == 2
-        assert [json.loads(l) for l in lines] == [r.to_dict() for r in result.records]
+        assert [json.loads(l) for l in lines] == [dataclasses.asdict(r) for r in result.records]
         assert (tmp_path / "best.ckpt").exists()
         assert (tmp_path / "last.ckpt").exists()
 
@@ -584,8 +587,9 @@ class TestTrainLoop:
         sched = TrainingSchedule(base_lr=0.05, milestones=(), epochs=3, batch_size=8)
         result = train(model, train_batch, eval_batch, sched, aug, out_dir=str(tmp_path))
         tops = [r.eval_top1 for r in result.records]
-        assert result.best_top1 == max(tops)
-        assert result.best.epoch == int(np.argmax(tops)) + 1  # first peak wins
+        assert result.best.eval_top1 == max(tops)
+        assert result.best.epoch == int(np.argmax(tops))  # first peak wins
+        assert result.best is result.records[result.best.epoch]
 
         twin = build_multipod(tiny_spec())
         load_checkpoint(tmp_path / "best.ckpt").apply(twin)
@@ -602,7 +606,7 @@ class TestTrainLoop:
         model, train_batch, eval_batch, aug = tiny_setup()
         sched = TrainingSchedule(base_lr=0.05, milestones=(), epochs=10, batch_size=8)
         result = train(model, train_batch, eval_batch, sched, aug,
-                       early_stop=lambda rec, m: rec.epoch == 1)
+                       early_stop=lambda rec: rec.epoch == 1)
         assert len(result.records) == 2
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
@@ -613,7 +617,7 @@ class TestTrainLoop:
 
         model_b, _, _, _ = tiny_setup()
         train(model_b, train_batch, eval_batch, sched, aug, out_dir=str(tmp_path),
-              early_stop=lambda rec, m: rec.epoch == 2)  # interrupt after 3 epochs
+              early_stop=lambda rec: rec.epoch == 2)  # interrupt after 3 epochs
         ckpt = load_checkpoint(tmp_path / "last.ckpt")
         assert ckpt.epoch == 3
 
@@ -659,6 +663,86 @@ class TestTrainLoop:
         rows = [json.loads(l) for l in (tmp_path / "train_log.jsonl").read_text().splitlines()]
         assert ([{k: v for k, v in r.items() if k != "wall_time"} for r in rows]
                 == [r.comparable() for r in full.records])
+
+    def test_fresh_run_crashed_in_a_used_directory_leaves_no_checkpoint(
+            self, tmp_path, monkeypatch):
+        sched = TrainingSchedule(base_lr=0.05, milestones=(), epochs=4, batch_size=8)
+        model, train_batch, eval_batch, aug = tiny_setup()
+        train(model, train_batch, eval_batch, sched, aug, out_dir=str(tmp_path),
+              early_stop=lambda rec: rec.epoch == 2)
+        old = load_checkpoint(tmp_path / "last.ckpt")
+        assert old.epoch == 3
+
+        def crash(*args):
+            raise RuntimeError("crash in the first step")
+
+        monkeypatch.setattr(training, "sgd_step", crash)
+        model, *_ = tiny_setup()
+        with pytest.raises(RuntimeError, match="crash"):
+            train(model, train_batch, eval_batch, sched, aug, out_dir=str(tmp_path))
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train_log.jsonl"]
+        assert (tmp_path / "train_log.jsonl").read_text() == ""
+        # the previous run's state cannot be continued over the new run's empty log
+        model, *_ = tiny_setup()
+        with pytest.raises(CheckpointError, match="does not log epochs 0 to 2"):
+            train(model, train_batch, eval_batch, sched, aug, out_dir=str(tmp_path),
+                  resume_from=old)
+        assert (tmp_path / "train_log.jsonl").read_text() == ""
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:1] + lines[2:], lambda lines: lines[1:], lambda lines: lines * 2,
+        lambda lines: lines[::-1], None], ids=["missing", "first-missing", "twice", "reversed",
+                                               "deleted"])
+    def test_resume_needs_one_record_of_each_epoch_before_it(self, tmp_path, edit):
+        sched = TrainingSchedule(base_lr=0.05, milestones=(), epochs=4, batch_size=8)
+        model, train_batch, eval_batch, aug = tiny_setup()
+        train(model, train_batch, eval_batch, sched, aug, out_dir=str(tmp_path),
+              early_stop=lambda rec: rec.epoch == 2)
+        log = tmp_path / "train_log.jsonl"
+        if edit is None:
+            log.unlink()
+        else:
+            log.write_text("".join(edit(log.read_text().splitlines(keepends=True))))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        ckpt = load_checkpoint(tmp_path / "last.ckpt")
+        model, *_ = tiny_setup()
+        params = model.store.param_values()
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"cannot resume at epoch 3: {log} does not log epochs 0 to 2, each once")):
+            train(model, train_batch, eval_batch, sched, aug, out_dir=str(tmp_path),
+                  resume_from=ckpt)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        for name, arr in model.store.param_values().items():
+            assert np.array_equal(arr, params[name]), name
+
+    def test_resumed_best_is_the_first_peak_of_the_whole_log(self, tmp_path):
+        sched = TrainingSchedule(base_lr=0.05, milestones=(2,), epochs=4, batch_size=8)
+        model, train_batch, eval_batch, aug = tiny_setup()
+        train(model, train_batch, eval_batch, sched, aug, out_dir=str(tmp_path),
+              early_stop=lambda rec: rec.epoch == 1)
+        model, *_ = tiny_setup()
+        tail = train(model, train_batch, eval_batch, sched, aug, out_dir=str(tmp_path),
+                     resume_from=load_checkpoint(tmp_path / "last.ckpt"))
+        log = training.read_log(tmp_path / "train_log.jsonl")
+        assert [r.epoch for r in log] == [0, 1, 2, 3] and log[2:] == tail.records
+        tops = [r.eval_top1 for r in log]
+        assert tail.best == log[tops.index(max(tops))]
+        assert load_checkpoint(tmp_path / "last.ckpt").best_top1 == max(tops)
+
+    def test_run_without_out_dir_copies_no_state(self, tmp_path, monkeypatch):
+        built = []
+        from_model = Checkpoint.from_model
+        monkeypatch.setattr(Checkpoint, "from_model",
+                            staticmethod(lambda *args: built.append(args) or from_model(*args)))
+        model, train_batch, eval_batch, aug = tiny_setup()
+        sched = TrainingSchedule(base_lr=0.05, milestones=(), epochs=2, batch_size=8)
+        result = train(model, train_batch, eval_batch, sched, aug)
+        assert len(result.records) == 2 and built == []
+        # the same run into a directory builds one state an epoch, for its checkpoints
+        model, *_ = tiny_setup()
+        train(model, train_batch, eval_batch, sched, aug, out_dir=str(tmp_path))
+        assert [args[1] for args in built] == [1, 2]
 
     def test_resume_with_wrong_seed_rejected(self, tmp_path):
         model, train_batch, eval_batch, aug = tiny_setup(seed=0)
