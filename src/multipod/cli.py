@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import tensor as T
-from .config import load_config, load_data
+from .config import load_config, load_data, load_eval_data
 from .checks import FieldError
 from .data import DataError, make_pod_inputs, read_ppm, write_ppm
 from .gradcheck import gradient_check
@@ -158,7 +158,7 @@ def cmd_eval(args):
     cfg = load_config(args.config)
     model = build_multipod(cfg.model)
     ckpt.apply(model)
-    _, eval_batch = load_data(cfg)
+    eval_batch = load_eval_data(cfg)
     if args.protocol == "center":
         res = evaluate_center_crop(model, eval_batch, cfg.augmentation)
     else:

@@ -10,7 +10,8 @@ from functools import partial
 
 from .checks import (ANY, INTEGER, REQUIRED, STRING, FieldError, Kind, Spec, nested, one_of,
                      rule, settle)
-from .data import CIFAR10_SIZE, MAX_IMAGE_SIZE, AugmentationSpec, load_cifar10, synthetic_dataset
+from .data import (CIFAR10_SIZE, MAX_IMAGE_SIZE, AugmentationSpec, load_cifar10, load_cifar10_test,
+                   synthetic_dataset)
 from .models import MAX_CLASSES, MultiPodSpec
 from .training import TrainingSchedule
 
@@ -37,7 +38,12 @@ _DATA_FIELDS = {
         (key, INTEGER, rule(partial(operator.le, low), f"must be an int >= {low}", high))
         for key, low, high in (("classes", 2, MAX_CLASSES), ("samples", 2, MAX_SAMPLES),
                                ("size", 8, MAX_IMAGE_SIZE), ("eval_samples", 1, MAX_SAMPLES),
-                               ("seed", 0, None)))),
+                               ("seed", 0, None))) + (
+        # both splits come from one rendered set, which needs an image per class
+        ("samples", None, lambda samples, v: None not in (v["classes"], v["eval_samples"])
+         and samples + v["eval_samples"] < v["classes"]
+         and f"samples + eval_samples must be >= classes {v['classes']}, "
+             f"got {samples} + {v['eval_samples']}"),)),
 }
 
 
@@ -115,3 +121,11 @@ def load_data(cfg):
     full = synthetic_dataset(d["classes"], d["samples"] + d["eval_samples"],
                              d["size"], d["seed"])
     return full.subset(slice(0, d["samples"])), full.subset(slice(d["samples"], None))
+
+
+def load_eval_data(cfg):
+    """Materialize the eval batch alone: for cifar10, the test file only."""
+    d = cfg.data
+    if d["kind"] == "cifar10":
+        return load_cifar10_test(d["path"])
+    return load_data(cfg)[1]

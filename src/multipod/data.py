@@ -110,13 +110,20 @@ def _load_record_file(path):
     return pixels, labels
 
 
+def _load_files(root, names):
+    parts = [_load_record_file(os.path.join(root, name)) for name in names]
+    return ImageBatch(np.concatenate([p for p, _ in parts]),
+                      np.concatenate([l for _, l in parts]))
+
+
 def load_cifar10(root):
     """Load the binary-format dataset from a directory; returns (train, test)."""
-    def load_files(names):
-        parts = [_load_record_file(os.path.join(root, name)) for name in names]
-        return ImageBatch(np.concatenate([p for p, _ in parts]),
-                          np.concatenate([l for _, l in parts]))
-    return load_files(_TRAIN_FILES), load_files(_TEST_FILES)
+    return _load_files(root, _TRAIN_FILES), load_cifar10_test(root)
+
+
+def load_cifar10_test(root):
+    """Load the test split alone, reading no train file."""
+    return _load_files(root, _TEST_FILES)
 
 
 # A binary PPM header: "P6", then width, height and maxval, each a decimal

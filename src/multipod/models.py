@@ -321,8 +321,6 @@ class MultiPodModel:
     def forward(self, inputs, training=False):
         return self.head(self.pod_features(inputs, training))
 
-    __call__ = forward
-
 
 def build_multipod(spec, dtype=np.float32):
     """Assemble and initialize a multi-pod model from its spec."""

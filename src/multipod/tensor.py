@@ -161,8 +161,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
 
 def _toposort(root):
     order = []
@@ -258,7 +256,6 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b):
-    a = a if isinstance(a, Tensor) else _wrap(a, b)
     b = _wrap(b, a)
     def backward(g):
         ga, gb = _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
@@ -272,7 +269,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    a = a if isinstance(a, Tensor) else _wrap(a, b)
     b = _wrap(b, a)
     def backward(g):
         _accumulate(a, _unbroadcast(g, a.data.shape))
@@ -281,7 +277,6 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a = a if isinstance(a, Tensor) else _wrap(a, b)
     b = _wrap(b, a)
     def backward(g):
         _accumulate(a, _unbroadcast(g * b.data, a.data.shape))

@@ -386,7 +386,6 @@ def train(model, train_batch, eval_batch, schedule, aug, out_dir=None,
         resume_from.apply(model, seed)
         start_epoch = resume_from.epoch
 
-    log_file = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         if resume_from is None:  # leave no previous run's state for a resume to continue
@@ -395,55 +394,49 @@ def train(model, train_batch, eval_batch, schedule, aug, out_dir=None,
                     os.remove(os.path.join(out_dir, name))
         log_path = os.path.join(out_dir, "train_log.jsonl")
         write_atomically(log_path, lambda f: f.writelines(r.line() for r in kept))
-        log_file = open(log_path, "a")
 
     best = max(kept, key=lambda r: r.eval_top1, default=None)  # max keeps the first peak
     n = len(train_batch)
     records = []
     t0 = time.time()
-    try:
-        for epoch in range(start_epoch, schedule.epochs):
-            lr = lr_at_epoch(schedule, epoch)
-            shuffle_rng = np.random.default_rng(
-                np.random.SeedSequence([seed, epoch, _SHUFFLE_TAG]))
-            perm = shuffle_rng.permutation(n)
-            loss_sum = 0.0
-            hits = 0
-            for step, lo in enumerate(range(0, n, schedule.batch_size)):
-                idx = perm[lo:lo + schedule.batch_size]
-                views = make_pod_inputs(train_batch.pixels[idx], aug, k,
-                                        epoch=epoch, indices=idx, train=True)
-                labels = train_batch.labels[idx]
-                logits = model.forward([T.Tensor(v) for v in views], training=True)
-                loss = T.softmax_cross_entropy(logits, labels)
-                lval = float(loss.data)
-                if not np.isfinite(lval):
-                    raise NumericalAbort(f"non-finite loss at epoch {epoch}, step {step}")
-                store.zero_grads()
-                loss.backward()
-                sgd_step(store, lr, schedule.momentum, schedule.weight_decay)
-                loss_sum += lval * len(idx)
-                hits += int(_topk_hits(logits.data, labels, 1).sum())
-                # drop this step's graph before the next forward records one
-                del logits, loss
-            ev = evaluate_center_crop(model, eval_batch, aug)
-            record = TrainLogRecord(epoch=epoch, lr=lr, train_loss=loss_sum / n,
-                                    train_acc=hits / n, eval_loss=ev.loss,
-                                    eval_top1=ev.top1, eval_top5=ev.top5,
-                                    wall_time=time.time() - t0)
-            records.append(record)
-            if log_file is not None:
-                log_file.write(record.line())
-                log_file.flush()
-            best = max(best or record, record, key=lambda r: r.eval_top1)
-            if out_dir is not None:
-                ckpt = Checkpoint.from_model(model, epoch + 1, seed, best.eval_top1)
-                if best is record:
-                    save_checkpoint(ckpt, os.path.join(out_dir, "best.ckpt"))
-                save_checkpoint(ckpt, os.path.join(out_dir, "last.ckpt"))
-            if early_stop is not None and early_stop(record):
-                break
-    finally:
-        if log_file is not None:
-            log_file.close()
+    for epoch in range(start_epoch, schedule.epochs):
+        lr = lr_at_epoch(schedule, epoch)
+        shuffle_rng = np.random.default_rng(
+            np.random.SeedSequence([seed, epoch, _SHUFFLE_TAG]))
+        perm = shuffle_rng.permutation(n)
+        loss_sum = 0.0
+        hits = 0
+        for step, lo in enumerate(range(0, n, schedule.batch_size)):
+            idx = perm[lo:lo + schedule.batch_size]
+            views = make_pod_inputs(train_batch.pixels[idx], aug, k,
+                                    epoch=epoch, indices=idx, train=True)
+            labels = train_batch.labels[idx]
+            logits = model.forward([T.Tensor(v) for v in views], training=True)
+            loss = T.softmax_cross_entropy(logits, labels)
+            lval = float(loss.data)
+            if not np.isfinite(lval):
+                raise NumericalAbort(f"non-finite loss at epoch {epoch}, step {step}")
+            store.zero_grads()
+            loss.backward()
+            sgd_step(store, lr, schedule.momentum, schedule.weight_decay)
+            loss_sum += lval * len(idx)
+            hits += int(_topk_hits(logits.data, labels, 1).sum())
+            # drop this step's graph before the next forward records one
+            del logits, loss
+        ev = evaluate_center_crop(model, eval_batch, aug)
+        record = TrainLogRecord(epoch=epoch, lr=lr, train_loss=loss_sum / n,
+                                train_acc=hits / n, eval_loss=ev.loss,
+                                eval_top1=ev.top1, eval_top5=ev.top5,
+                                wall_time=time.time() - t0)
+        records.append(record)
+        best = max(best or record, record, key=lambda r: r.eval_top1)
+        if out_dir is not None:
+            with open(log_path, "a") as f:
+                f.write(record.line())
+            ckpt = Checkpoint.from_model(model, epoch + 1, seed, best.eval_top1)
+            if best is record:
+                save_checkpoint(ckpt, os.path.join(out_dir, "best.ckpt"))
+            save_checkpoint(ckpt, os.path.join(out_dir, "last.ckpt"))
+        if early_stop is not None and early_stop(record):
+            break
     return TrainResult(records, best, time.time() - t0)

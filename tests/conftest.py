@@ -1,12 +1,7 @@
-import os
-
-# One BLAS thread, as the package itself sets by default: conv2d already
-# runs one range of images per core on its own threads, so a second BLAS
-# thread per GEMM only contends with them. Set before numpy is first
-# imported (this file loads before the package), which is when OpenBLAS
-# reads it.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
+# The package pins BLAS to one thread unless the caller chose otherwise.
+# Importing it loads no numpy, so importing it here, before numpy is first
+# imported, sets the pin for the whole run.
+import multipod  # noqa: F401
 
 import tempfile
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import multipod.cli as cli
+import multipod.data as data
 import multipod.tensor as T
 import multipod.training as training
 from multipod.checks import FieldError
@@ -129,10 +130,13 @@ MANY_LINES = {
                        ["data.samples: must be an int >= 2, got 0", "data.sample: unknown key"]),
 }
 
-# (path, upper bound, tweaks that let the bound itself parse)
+# (path, upper bound, tweaks that let the bound itself parse); a synthetic
+# set of MAX_CLASSES classes needs as many images
 BOUNDS = [("model.pods", MAX_PODS, {"model.seeds": None}), ("model.n", MAX_BLOCKS, {}),
-          ("model.classes", MAX_CLASSES, {"data.classes": MAX_CLASSES}),
-          ("data.classes", MAX_CLASSES, {"model.classes": MAX_CLASSES}),
+          ("model.classes", MAX_CLASSES,
+           {"data.classes": MAX_CLASSES, "data.samples": MAX_CLASSES}),
+          ("data.classes", MAX_CLASSES,
+           {"model.classes": MAX_CLASSES, "data.samples": MAX_CLASSES}),
           ("data.samples", MAX_SAMPLES, {}), ("data.size", MAX_IMAGE_SIZE, {}),
           ("data.eval_samples", MAX_SAMPLES, {}), ("schedule.epochs", MAX_EPOCHS, {}),
           ("schedule.batch_size", MAX_BATCH_SIZE, {}),
@@ -195,7 +199,8 @@ class TestCountParams:
     def test_imagenet_tripod(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"model.family": "resnet-imagenet", "model.n": 2,
                                         "model.pods": 3, "model.seeds": [0, 1, 2],
-                                        "model.classes": 1000, "data.classes": 1000})
+                                        "model.classes": 1000, "data.classes": 1000,
+                                        "data.samples": 1000})
         assert main(["count-params", "--config", cfg, "--expect", "35066536"]) == 0
         # README's recipe: the shipped tripod with a resnet18 base, 10 classes
         cfg = write_shipped(tmp_path, "cifar10-tripod",
@@ -730,6 +735,20 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == 2
         assert "data.classes: must be an int >= 2" in capsys.readouterr().err
 
+    def test_fewer_images_than_classes_is_refused_by_path(self, tmp_path, capsys):
+        # both splits are rendered from one set, which needs an image per class
+        parse_config(toy_config_doc(**{"data.samples": 2, "data.eval_samples": 2}))
+        out_dir = tmp_path / "run"
+        cfg = write_config(tmp_path, out_dir=str(out_dir),
+                           **{"data.samples": 2, "data.eval_samples": 1})
+        before = sorted(tmp_path.iterdir())
+        assert main(["train", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[1:] == [
+            "  data.samples: samples + eval_samples must be >= classes 4, got 2 + 1"]
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_inconsistent_classes_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"model.classes": 7})
         assert main(["train", "--config", cfg]) == 2
@@ -844,6 +863,41 @@ class TestEval:
         cfg, out_dir = trained_run
         assert main(["eval", "--checkpoint", str(out_dir / "gone.ckpt"),
                      "--config", cfg]) == 2
+
+
+@pytest.fixture
+def cifar10_eval(tmp_path):
+    """A checkpoint trained for one epoch and two cifar10 configs of its run:
+    one whose dataset holds all six files, one whose dataset holds the test
+    file alone."""
+    out_dir, full, test_only = tmp_path / "run", tmp_path / "full", tmp_path / "test-only"
+    full.mkdir()
+    test_only.mkdir()
+    shutil.copy(fake_cifar_dir(full) / "test_batch.bin", test_only)
+    configs = [write_config(tmp_path, f"{d.name}.json", out_dir=str(out_dir), **{
+        "data": {"kind": "cifar10", "path": str(d)}, "model.classes": 10, "schedule.epochs": 1})
+        for d in (full, test_only)]
+    assert main(["train", "--config", configs[0]]) == 0
+    return str(out_dir / "last.ckpt"), configs
+
+
+@pytest.mark.parametrize("protocol", ["center", "tencrop"])
+def test_eval_needs_no_train_file(cifar10_eval, capsys, protocol):
+    ckpt, configs = cifar10_eval
+    lines = []
+    for cfg in configs:
+        assert main(["eval", "--checkpoint", ckpt, "--config", cfg, "--protocol", protocol]) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1] and lines[0].startswith("top1=")
+
+
+def test_eval_reads_the_test_file_alone(cifar10_eval, capsys, monkeypatch):
+    ckpt, [full, _] = cifar10_eval
+    read, load = [], data._load_record_file
+    monkeypatch.setattr(data, "_load_record_file",
+                        lambda path: read.append(os.path.basename(path)) or load(path))
+    assert main(["eval", "--checkpoint", ckpt, "--config", full]) == 0
+    assert read == ["test_batch.bin"]
 
 
 @pytest.fixture(scope="module")
@@ -1192,12 +1246,17 @@ def test_stdout_closed_before_the_first_line():
     assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, b"")
 
 
+def without_blas_pins():
+    """The environment with no BLAS thread count set."""
+    return {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
 @pytest.mark.parametrize("preset,want", [(None, "1"), ("2", "2")])
 def test_package_pins_blas_unless_the_caller_did(tmp_path, preset, want):
     # a fresh process with neither variable set runs BLAS on one thread; a
     # caller's setting wins
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = without_blas_pins()
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
     out_dir = tmp_path / "run"
@@ -1207,3 +1266,16 @@ def test_package_pins_blas_unless_the_caller_did(tmp_path, preset, want):
     assert proc.returncode == 0, proc.stderr
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["machine"]["blas_threads"] == want
+
+
+def test_importing_a_module_loads_it_alone():
+    # the package puts no layer in front of its modules: `import multipod`
+    # pins BLAS and loads no numpy, and `import multipod.tensor` loads no
+    # other module of the package
+    code = ("import json, os, sys, multipod; numpy = 'numpy' in sys.modules; "
+            "import multipod.tensor; print(json.dumps([numpy, sorted(m for m in sys.modules "
+            "if m.startswith('multipod')), os.environ['OPENBLAS_NUM_THREADS']]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=without_blas_pins(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, ["multipod", "multipod.tensor"], "1"]
