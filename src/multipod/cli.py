@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import tensor as T
-from .config import load_config, load_data, load_eval_data
+from .config import load_config, load_data, load_eval_data, load_train_data
 from .checks import FieldError
 from .data import DataError, make_pod_inputs, read_ppm, write_ppm
 from .gradcheck import gradient_check
@@ -175,7 +175,7 @@ def cmd_augment_preview(args):
     if args.image is not None:
         img = read_ppm(args.image)
     else:
-        samples, _ = load_data(cfg)
+        samples = load_train_data(cfg)
         if args.index >= len(samples):
             raise ValueError(f"--index {args.index} must be < {len(samples)}, the train set's size")
         img = samples.pixels[args.index]

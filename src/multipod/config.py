@@ -10,8 +10,8 @@ from functools import partial
 
 from .checks import (ANY, INTEGER, REQUIRED, STRING, FieldError, Kind, Spec, nested, one_of,
                      rule, settle)
-from .data import (CIFAR10_SIZE, MAX_IMAGE_SIZE, AugmentationSpec, load_cifar10, load_cifar10_test,
-                   synthetic_dataset)
+from .data import (CIFAR10_SIZE, MAX_IMAGE_SIZE, AugmentationSpec, load_cifar10_test,
+                   load_cifar10_train, synthetic_dataset)
 from .models import MAX_CLASSES, MultiPodSpec
 from .training import TrainingSchedule
 
@@ -117,10 +117,19 @@ def load_data(cfg):
     """Materialize (train, eval) batches for a parsed config."""
     d = cfg.data
     if d["kind"] == "cifar10":
-        return load_cifar10(d["path"])
+        return load_train_data(cfg), load_eval_data(cfg)
+    # both splits come from one rendered set, rendered once here
     full = synthetic_dataset(d["classes"], d["samples"] + d["eval_samples"],
                              d["size"], d["seed"])
     return full.subset(slice(0, d["samples"])), full.subset(slice(d["samples"], None))
+
+
+def load_train_data(cfg):
+    """Materialize the train batch alone: for cifar10, the train files only."""
+    d = cfg.data
+    if d["kind"] == "cifar10":
+        return load_cifar10_train(d["path"])
+    return load_data(cfg)[0]
 
 
 def load_eval_data(cfg):

@@ -116,9 +116,9 @@ def _load_files(root, names):
                       np.concatenate([l for _, l in parts]))
 
 
-def load_cifar10(root):
-    """Load the binary-format dataset from a directory; returns (train, test)."""
-    return _load_files(root, _TRAIN_FILES), load_cifar10_test(root)
+def load_cifar10_train(root):
+    """Load the train split alone, reading no test file."""
+    return _load_files(root, _TRAIN_FILES)
 
 
 def load_cifar10_test(root):

@@ -9,7 +9,9 @@ derives from the model spec's pod seeds.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
+import math
 import os
 import time
 import zipfile
@@ -21,7 +23,7 @@ from . import tensor as T
 from .checks import INTEGER, INTEGERS, NUMBER, Spec, rule
 from .data import make_pod_inputs
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 # upper bounds that refuse an absurd schedule before a run starts
 MAX_EPOCHS = 100_000
@@ -209,8 +211,9 @@ def evaluate_ten_crop(model, batch, aug, crop_size=None):
     return _evaluate(model, batch, aug, size, ten=True)
 
 
-# A checkpoint is an npz archive: "__meta__" holds the JSON metadata record, and
-# "<prefix>/<name>" each array of a group (prefix, label, arrays by name).
+# A checkpoint is an npz archive: "__meta__" holds the JSON metadata record, and each
+# array group (prefix, label, arrays by name) one flat member named by its prefix,
+# which holds the group's arrays raveled and concatenated in name order.
 _GROUPS = (
     ("param", "parameter", lambda c: c.params),
     ("momentum", "momentum", lambda c: c.momentum),
@@ -219,7 +222,44 @@ _GROUPS = (
 )
 # The metadata record's fields beside format_version: Checkpoint attributes and their JSON types
 _META_TYPES = {"spec": dict, "epoch": int, "seed": int, "best_top1": (int, float),
-               "buffers_initialized": dict}
+               "buffers_initialized": dict, "index": dict}
+
+
+def _views(flat, index):
+    """The arrays of a group's flat buffer by name: for each [name, shape] pair of
+    ``index``, in order, a view of the next slice of ``flat`` in that shape."""
+    views, lo = {}, 0
+    for name, shape in index:
+        size = math.prod(shape)
+        views[name] = flat[lo:lo + size].reshape(shape)
+        lo += size
+    return views
+
+
+def _flat(arrays):
+    """A group's member: its ``arrays`` (by name) raveled and concatenated in name order."""
+    return np.concatenate([np.ravel(a) for _, a in sorted(arrays.items())])
+
+
+def _group(z, prefix, index):
+    """The arrays of group ``prefix`` in npz file ``z``, laid out by ``index``;
+    ValueError if its member or its index breaks the layout."""
+    flat = z[prefix]
+    if flat.ndim != 1 or flat.dtype not in (np.float32, np.float64):
+        raise ValueError(f"member {prefix!r} must be 1-D float32 or float64, "
+                         f"got {flat.ndim}-D {flat.dtype}")
+    if not isinstance(index, list) or not all(
+            isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], list) and all(type(d) is int and d >= 0 for d in entry[1])
+            for entry in index):
+        raise ValueError(f"index of {prefix!r} must list [name, shape] pairs, "
+                         f"each dimension a non-negative integer")
+    if len({name for name, _ in index}) != len(index):
+        raise ValueError(f"index of {prefix!r} lists a name twice")
+    size = sum(math.prod(shape) for _, shape in index)
+    if size != flat.size:
+        raise ValueError(f"index of {prefix!r} adds up to {size} values, member holds {flat.size}")
+    return _views(flat, index)
 
 
 @dataclass
@@ -247,6 +287,12 @@ class Checkpoint:
     @property
     def buffers_initialized(self):
         return {name: bool(b[2]) for name, b in self.buffers.items()}
+
+    @property
+    def index(self):
+        """Each group's [name, shape] pairs in name order: its member's layout."""
+        return {prefix: [[name, list(np.shape(a))] for name, a in sorted(arrays(self).items())]
+                for prefix, _, arrays in _GROUPS}
 
     def check(self, model, seed=None):
         """Raise ``CheckpointError`` unless every parameter, momentum buffer
@@ -298,20 +344,23 @@ def write_atomically(path, write, mode="w"):
         raise
 
 
-def save_checkpoint(ckpt, path):
-    """Write ``ckpt`` to ``path`` atomically (see ``write_atomically``)."""
+def save_checkpoint(ckpt, *paths):
+    """Write ``ckpt`` to each of ``paths`` in turn, each atomically (see
+    ``write_atomically``): it is serialized once, and every file gets those bytes."""
     meta = {"format_version": CHECKPOINT_FORMAT_VERSION,
             **{key: getattr(ckpt, key) for key in _META_TYPES}}
     members = {"__meta__": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    members.update((f"{prefix}/{name}", a)
-                   for prefix, _, arrays in _GROUPS for name, a in arrays(ckpt).items())
-    # a file handle, so numpy does not append an extension to the name
-    write_atomically(path, lambda f: np.savez(f, **members), "wb")
+    members.update((prefix, _flat(arrays(ckpt))) for prefix, _, arrays in _GROUPS)
+    data = io.BytesIO()
+    np.savez(data, **members)
+    for path in paths:
+        write_atomically(path, lambda f: f.write(data.getbuffer()), "wb")
 
 
 def load_checkpoint(path):
-    """The checkpoint saved at ``path``. A file that is missing or breaks the
-    layout ``save_checkpoint`` writes raises CheckpointError naming it."""
+    """The checkpoint saved at ``path``, each array a view of its group's member.
+    A file that is missing or breaks the layout ``save_checkpoint`` writes raises
+    CheckpointError naming it."""
     if not os.path.isfile(path):
         raise CheckpointError(f"checkpoint not found: {path}")
     try:
@@ -325,14 +374,15 @@ def load_checkpoint(path):
                 meta.get(key), bool) or not isinstance(meta.get(key), _META_TYPES.get(key, ())))
             if wrong:
                 raise ValueError(f"metadata {', '.join(wrong)}: missing, unknown or mistyped")
-            groups = {prefix: {} for prefix, *_ in _GROUPS}
-            for key in z.files:
-                prefix, _, name = key.partition("/")
-                if key != "__meta__":
-                    if prefix not in groups:
-                        raise ValueError(f"member {key!r} is in no array group")
-                    groups[prefix][name] = z[key]
-            params, momentum, means, variances = groups.values()
+            groups = [prefix for prefix, *_ in _GROUPS]
+            if set(z.files) != {"__meta__", *groups}:
+                raise ValueError(f"members {', '.join(sorted(z.files))}: expected __meta__, "
+                                 f"{', '.join(groups)}")
+            if set(meta["index"]) != set(groups):
+                raise ValueError(f"metadata index names {', '.join(sorted(meta['index']))}: "
+                                 f"expected {', '.join(groups)}")
+            params, momentum, means, variances = (_group(z, prefix, meta["index"][prefix])
+                                                  for prefix in groups)
             flags = meta["buffers_initialized"]
             if not means.keys() == variances.keys() == flags.keys() or not all(
                     isinstance(flag, bool) for flag in flags.values()):
@@ -433,10 +483,9 @@ def train(model, train_batch, eval_batch, schedule, aug, out_dir=None,
         if out_dir is not None:
             with open(log_path, "a") as f:
                 f.write(record.line())
-            ckpt = Checkpoint.from_model(model, epoch + 1, seed, best.eval_top1)
-            if best is record:
-                save_checkpoint(ckpt, os.path.join(out_dir, "best.ckpt"))
-            save_checkpoint(ckpt, os.path.join(out_dir, "last.ckpt"))
+            names = ("best.ckpt", "last.ckpt") if best is record else ("last.ckpt",)
+            save_checkpoint(Checkpoint.from_model(model, epoch + 1, seed, best.eval_top1),
+                            *(os.path.join(out_dir, name) for name in names))
         if early_stop is not None and early_stop(record):
             break
     return TrainResult(records, best, time.time() - t0)

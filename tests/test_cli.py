@@ -900,6 +900,39 @@ def test_eval_reads_the_test_file_alone(cifar10_eval, capsys, monkeypatch):
     assert read == ["test_batch.bin"]
 
 
+@pytest.fixture
+def cifar10_train_only(tmp_path):
+    """Two cifar10 configs: one whose dataset holds all six files, one whose
+    dataset holds the five train files alone."""
+    full, train_only = tmp_path / "full", tmp_path / "train-only"
+    full.mkdir()
+    train_only.mkdir()
+    for b in range(1, 6):
+        shutil.copy(fake_cifar_dir(full) / f"data_batch_{b}.bin", train_only)
+    return [write_config(tmp_path, f"{d.name}.json", **{
+        "data": {"kind": "cifar10", "path": str(d)}, "model.classes": 10})
+        for d in (full, train_only)]
+
+
+def test_augment_preview_needs_no_test_file(cifar10_train_only, tmp_path, capsys):
+    views = []
+    for i, cfg in enumerate(cifar10_train_only):
+        out = tmp_path / f"views{i}"
+        assert main(["augment-preview", "--config", cfg, "--out", str(out), "--index", "7"]) == 0
+        views.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert views[0] == views[1] and len(views[0]) == 3
+
+
+def test_augment_preview_reads_the_train_files_alone(cifar10_train_only, tmp_path, capsys,
+                                                     monkeypatch):
+    read, load = [], data._load_record_file
+    monkeypatch.setattr(data, "_load_record_file",
+                        lambda path: read.append(os.path.basename(path)) or load(path))
+    assert main(["augment-preview", "--config", cifar10_train_only[0],
+                 "--out", str(tmp_path / "views")]) == 0
+    assert read == [f"data_batch_{b}.bin" for b in range(1, 6)]
+
+
 @pytest.fixture(scope="module")
 def one_epoch_run(tmp_path_factory):
     # a run of a two-epoch config stopped after its first epoch

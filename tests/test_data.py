@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from multipod.data import (AugmentationSpec, CIFAR10_MEAN, CIFAR10_STD, DataError,
-                           ImageBatch, JitterSpec, color_jitter, load_cifar10,
-                           make_pod_inputs, normalize, sample_rng, synthetic_dataset)
+                           ImageBatch, JitterSpec, color_jitter, load_cifar10_test,
+                           load_cifar10_train, make_pod_inputs, normalize, sample_rng,
+                           synthetic_dataset)
 from oracles import synthetic_pixels_oracle
 
 RECORD = 3073
@@ -32,7 +33,8 @@ def fake_cifar_dir(tmp_path, per_train=2, per_test=3):
 
 class TestLoader:
     def test_shapes_labels_and_scaling(self, tmp_path):
-        train, test = load_cifar10(fake_cifar_dir(tmp_path))
+        d = fake_cifar_dir(tmp_path)
+        train, test = load_cifar10_train(d), load_cifar10_test(d)
         assert train.pixels.shape == (10, 3, 32, 32)
         assert test.pixels.shape == (3, 3, 32, 32)
         assert train.labels.tolist() == [1, 2, 2, 3, 3, 4, 4, 5, 5, 6]
@@ -45,20 +47,20 @@ class TestLoader:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="data_batch_1.bin"):
-            load_cifar10(tmp_path)
+            load_cifar10_train(tmp_path)
 
     def test_truncated_file(self, tmp_path):
         d = fake_cifar_dir(tmp_path)
         with open(d / "data_batch_2.bin", "ab") as f:
             f.write(b"\x00" * 100)
         with pytest.raises(DataError, match="not a positive multiple"):
-            load_cifar10(d)
+            load_cifar10_train(d)
 
     def test_bad_label_reports_offset(self, tmp_path):
         d = fake_cifar_dir(tmp_path)
         write_records(d / "data_batch_3.bin", [4, 12], lambda i, ch: 0)
         with pytest.raises(DataError, match="label byte 12 at offset 3073"):
-            load_cifar10(d)
+            load_cifar10_train(d)
 
 
 class TestImageBatch:

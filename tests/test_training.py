@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import json
+import math
+import os
 import re
 import weakref
 
@@ -349,6 +351,43 @@ class TestCheckpointRoundTrip:
             assert np.array_equal(lmean, mean) and np.array_equal(lvar, var)
             assert linit == init
 
+    def test_members_are_the_metadata_and_one_per_group(self, tmp_path):
+        model, _, _, _ = tiny_setup()
+        path = tmp_path / "state.ckpt"
+        save_checkpoint(Checkpoint.from_model(model, 0, 0, 0.0), path)
+        with np.load(path) as z:
+            assert sorted(z.files) == ["__meta__", "bnmean", "bnvar", "momentum", "param"]
+            index = json.loads(bytes(z["__meta__"]).decode())["index"]
+            params = sorted(name for name, _ in model.store.items())
+            layers = sorted(name for name, _ in model.store.buffers())
+            for group, names in (("param", params), ("momentum", params), ("bnmean", layers),
+                                 ("bnvar", layers)):
+                assert [name for name, _ in index[group]] == names
+                assert z[group].shape == (sum(math.prod(shape) for _, shape in index[group]),)
+                assert z[group].dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_round_trip_is_bit_exact(self, tmp_path, dtype):
+        model = build_multipod(tiny_spec(), dtype=dtype)
+        store, rng = model.store, np.random.default_rng(5)
+        for name, t in store.items():
+            t.data = rng.standard_normal(t.data.shape).astype(dtype)
+            store.momentum[name] = rng.standard_normal(t.data.shape).astype(dtype)
+        for _, b in store.buffers():
+            b.mean = rng.standard_normal(b.mean.shape).astype(dtype)
+            b.var = rng.random(b.var.shape).astype(dtype)
+            b.initialized = True
+        save_checkpoint(Checkpoint.from_model(model, 3, 7, 0.5), tmp_path / "state.ckpt")
+        twin = build_multipod(tiny_spec(), dtype=dtype)
+        load_checkpoint(tmp_path / "state.ckpt").apply(twin)
+        for name, t in store.items():
+            for got, want in ((twin.store.param(name).data, t.data),
+                              (twin.store.momentum[name], store.momentum[name])):
+                assert got.dtype == dtype and got.tobytes() == want.tobytes(), name
+        for (name, b), (_, got) in zip(store.buffers(), twin.store.buffers()):
+            assert got.mean.tobytes() == b.mean.tobytes(), name
+            assert got.var.tobytes() == b.var.tobytes() and got.initialized, name
+
     def test_restored_model_evaluates_identically(self, tmp_path):
         model, train_batch, eval_batch, aug = tiny_setup()
         sched = TrainingSchedule(base_lr=0.05, milestones=(), epochs=1, batch_size=8)
@@ -427,6 +466,56 @@ class TestCheckpointRoundTrip:
             assert np.array_equal(loaded.params[name], ckpt.params[name]), name
         assert sorted(p.name for p in tmp_path.iterdir()) == ["last.ckpt"]
 
+    def test_failed_file_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        model, _, _, aug = tiny_setup()
+        path = tmp_path / "last.ckpt"
+        ckpt = Checkpoint.from_model(model, epoch=1, seed=aug.seed, best_top1=0.5)
+        save_checkpoint(ckpt, path)
+        written = []
+
+        class WriteThenCrash:
+            """A file that takes the first bytes of a write, then fails as a full disk does."""
+
+            def __init__(self, name, mode):
+                self.f = open(name, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(bytes(data[:64]))
+                self.f.flush()
+                written.append((self.f.name, len(data), os.path.getsize(self.f.name)))
+                raise OSError("disk full")
+
+        monkeypatch.setattr(training, "open", WriteThenCrash, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(Checkpoint.from_model(model, 2, aug.seed, 0.75), path)
+        monkeypatch.undo()
+
+        # the write reached the temporary file and stopped partway
+        [(name, size, partial)] = written
+        assert name == f"{path}.tmp" and partial == 64 < size
+        loaded = load_checkpoint(path)
+        assert loaded.epoch == 1 and loaded.best_top1 == 0.5
+        for name in ckpt.params:
+            assert np.array_equal(loaded.params[name], ckpt.params[name]), name
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["last.ckpt"]
+
+    def test_best_epoch_serializes_once_for_both_files(self, tmp_path, monkeypatch):
+        model, train_batch, eval_batch, aug = tiny_setup()
+        calls, savez = [], np.savez
+        monkeypatch.setattr(np, "savez",
+                            lambda f, **members: calls.append(f) or savez(f, **members))
+        sched = TrainingSchedule(base_lr=0.05, milestones=(), epochs=1, batch_size=8)
+        train(model, train_batch, eval_batch, sched, aug, out_dir=tmp_path)
+        # the first epoch is the best so far
+        assert len(calls) == 1
+        assert (tmp_path / "best.ckpt").read_bytes() == (tmp_path / "last.ckpt").read_bytes()
+
     def test_format_version_mismatch(self, tmp_path):
         path = tmp_path / "old.ckpt"
         meta = json.dumps({"format_version": 99}).encode()
@@ -436,38 +525,89 @@ class TestCheckpointRoundTrip:
             load_checkpoint(path)
 
 
-def rewrite_checkpoint(meta_edit=lambda meta: meta, members_edit=lambda members: members):
-    """An edit that rewrites a checkpoint file with its metadata record and
-    its array members passed through the given functions."""
-    def edit(path):
+def rewrite_checkpoint(edit):
+    """An edit that rewrites a checkpoint file as ``edit(meta, members)`` returns
+    them: its metadata record and its other members, each group's flat array."""
+    def rewrite(path):
         with np.load(path) as z:
             members = {key: z[key] for key in z.files}
-        meta = meta_edit(json.loads(bytes(members.pop("__meta__")).decode()))
+        meta, members = edit(json.loads(bytes(members.pop("__meta__")).decode()), members)
         with open(path, "wb") as f:
             np.savez(f, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                     **members_edit(members))
-    return edit
+                     **members)
+    return rewrite
+
+
+def edit_meta(edit):
+    return rewrite_checkpoint(lambda meta, members: (edit(meta), members))
+
+
+def edit_members(edit):
+    return rewrite_checkpoint(lambda meta, members: (meta, edit(members)))
+
+
+def edit_index(group, edit):
+    """A rewrite with ``edit`` applied to the [name, shape] pairs of ``group``'s index."""
+    return edit_meta(lambda meta: {**meta, "index": {
+        **meta["index"], group: edit(meta["index"][group])}})
 
 
 def without(d, key):
     return {k: v for k, v in d.items() if k != key}
 
 
+def without_first_bn_mean(meta, members):
+    # a consistent index and member, naming one BN layer fewer than the variances
+    (_, shape), *rest = meta["index"]["bnmean"]
+    meta["index"]["bnmean"] = rest
+    return meta, {**members, "bnmean": members["bnmean"][math.prod(shape):]}
+
+
+def in_version_1_layout(meta, members):
+    # format version 1 stored each array as its own member, "<group>/<name>"
+    arrays = {}
+    for group, index in meta.pop("index").items():
+        lo = 0
+        for name, shape in index:
+            arrays[f"{group}/{name}"] = members[group][lo:lo + math.prod(shape)].reshape(shape)
+            lo += math.prod(shape)
+    return {**meta, "format_version": 1}, arrays
+
+
 # checkpoint files that break the layout: (edit of a good file, what the refusal says)
 BAD_CHECKPOINTS = {
-    **{f"no-{key}": (rewrite_checkpoint(lambda meta, key=key: without(meta, key)),
+    **{f"no-{key}": (edit_meta(lambda meta, key=key: without(meta, key)),
                      f"metadata {key}: missing, unknown or mistyped")
-       for key in ("spec", "epoch", "seed", "best_top1", "buffers_initialized")},
-    "meta-list": (rewrite_checkpoint(lambda meta: [meta]), "format version None, expected 1"),
-    "epoch-x": (rewrite_checkpoint(lambda meta: {**meta, "epoch": "x"}),
+       for key in ("spec", "epoch", "seed", "best_top1", "buffers_initialized", "index")},
+    "meta-list": (edit_meta(lambda meta: [meta]), "format version None, expected 2"),
+    "version-1": (rewrite_checkpoint(in_version_1_layout), "format version 1, expected 2"),
+    "epoch-x": (edit_meta(lambda meta: {**meta, "epoch": "x"}),
                 "metadata epoch: missing, unknown or mistyped"),
-    "bnvar-alone": (rewrite_checkpoint(members_edit=lambda members: without(
-        members, min(key for key in members if key.startswith("bnmean/")))),
-                    "must name the same layers"),
-    "flag-string": (rewrite_checkpoint(lambda meta: {**meta, "buffers_initialized": dict.fromkeys(
+    "bnvar-alone": (rewrite_checkpoint(without_first_bn_mean), "must name the same layers"),
+    "flag-string": (edit_meta(lambda meta: {**meta, "buffers_initialized": dict.fromkeys(
         meta["buffers_initialized"], "yes")}), "must name the same layers"),
-    "stray-member": (rewrite_checkpoint(members_edit=lambda members: {
-        **members, "stray": np.zeros(1)}), "member 'stray' is in no array group"),
+    "stray-member": (edit_members(lambda members: {**members, "stray": np.zeros(1)}),
+                     "members __meta__, bnmean, bnvar, momentum, param, stray: expected "
+                     "__meta__, param, momentum, bnmean, bnvar"),
+    "no-momentum-member": (edit_members(lambda members: without(members, "momentum")),
+                           "members __meta__, bnmean, bnvar, param: expected"),
+    "index-without-bnvar": (edit_meta(lambda meta: {**meta, "index": without(
+        meta["index"], "bnvar")}), "metadata index names bnmean, momentum, param: expected"),
+    "index-too-long": (edit_index("param", lambda index: index + [["extra", [1]]]),
+                       "index of 'param' adds up to [0-9]+ values, member holds [0-9]+"),
+    "name-twice": (edit_index("momentum", lambda index: [index[0], [index[0][0], index[1][1]],
+                                                         *index[2:]]),
+                   "index of 'momentum' lists a name twice"),
+    **{f"dimension-{kind}": (edit_index("bnvar", lambda index, dim=dim: [
+        [index[0][0], [dim]], *index[1:]]), "index of 'bnvar' must list \\[name, shape\\] pairs")
+       for kind, dim in (("negative", -4), ("float", 4.0), ("bool", True))},
+    "index-not-a-list": (edit_index("param", lambda index: dict(index)),
+                         "index of 'param' must list"),
+    "member-2d": (edit_members(lambda members: {**members, "param": members["param"][None]}),
+                  "member 'param' must be 1-D float32 or float64, got 2-D float32"),
+    "member-int": (edit_members(lambda members: {**members, "bnmean": members[
+        "bnmean"].astype(np.int32)}), "member 'bnmean' must be 1-D float32 or float64, "
+                                      "got 1-D int32"),
     "empty-file": (lambda path: open(path, "wb").close(), "corrupt checkpoint"),
 }
 
@@ -643,11 +783,11 @@ class TestTrainLoop:
         model_a, train_batch, eval_batch, aug = tiny_setup()
         full = train(model_a, train_batch, eval_batch, sched, aug)
 
-        # the second epoch is logged, then its last.ckpt save crashes
-        def crash_on_second_last_ckpt(ckpt, path):
-            if path.endswith("last.ckpt") and ckpt.epoch == 2:
+        # the second epoch is logged, then its checkpoint save crashes
+        def crash_on_second_last_ckpt(ckpt, *paths):
+            if ckpt.epoch == 2 and any(path.endswith("last.ckpt") for path in paths):
                 raise OSError("crash before the checkpoint save")
-            save_checkpoint(ckpt, path)
+            save_checkpoint(ckpt, *paths)
 
         monkeypatch.setattr("multipod.training.save_checkpoint", crash_on_second_last_ckpt)
         model_b, _, _, _ = tiny_setup()
