@@ -6,10 +6,20 @@ input tensors and fuses the k B x L feature vectors, either by
 concatenation into a single dense classifier (approach 1) or through
 per-pod learnable scale vectors combined elementwise into a shared dense
 classifier (approach 2).
+
+Building a model draws no parameter value. ``init_params`` attaches to each
+parameter the rule that makes its initial array, and the first read of the
+parameter's ``data`` runs it; assigning ``data`` first (restoring a
+checkpoint) means it never runs. Each parameter draws from a stream of its
+own, so its values are the same bits whenever, and in whatever order, the
+parameters are first read. The store records every shape, so counting
+parameters or checking a checkpoint against the model draws nothing either.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -89,20 +99,48 @@ class MultiPodSpec(Spec):
     )
 
 
+class Param(T.Tensor):
+    """A trainable tensor whose ``data`` slot stays empty until it is first
+    read or assigned. The first read fills it with ``draw()``; an assignment
+    before that means ``draw`` never runs."""
+
+    __slots__ = ("draw",)
+
+    def __init__(self, draw):
+        self.draw = draw
+        self.requires_grad = True
+        self.grad = None
+        self._parents = ()
+        self._backward = None
+        self._op = ""
+        self._lent = False
+
+    def __getattr__(self, name):
+        # reached only for an empty slot: ``data`` before its first read or assignment
+        if name != "data":
+            raise AttributeError(name)
+        self.data = self.draw()
+        return self.data
+
+
 class ParamStore:
     """Ordered collection of named parameters, BN buffers, and momentum state."""
 
     def __init__(self, dtype=np.float32):
         self.dtype = np.dtype(dtype)
         self._params = {}
+        self._shapes = {}
         self._buffers = {}
         self.momentum = {}
 
     def add_param(self, name, shape):
+        """A new parameter of ``shape``, zeros until ``init_params`` gives it a rule."""
         if name in self._params:
             raise ValueError(f"duplicate parameter {name!r}")
-        t = T.Tensor(np.zeros(shape, dtype=self.dtype), requires_grad=True)
+        shape, dtype = tuple(shape), self.dtype  # the rule holds no reference to the store
+        t = Param(lambda: np.zeros(shape, dtype=dtype))
         self._params[name] = t
+        self._shapes[name] = shape
         return t
 
     def add_buffers(self, name, channels):
@@ -121,8 +159,12 @@ class ParamStore:
     def buffers(self):
         return self._buffers.items()
 
+    def shapes(self):
+        """Each parameter's name and shape, in store order; reading them draws nothing."""
+        return self._shapes.items()
+
     def total_params(self):
-        return sum(t.data.size for t in self._params.values())
+        return sum(math.prod(shape) for shape in self._shapes.values())
 
     def zero_grads(self):
         for t in self._params.values():
@@ -137,8 +179,8 @@ class ParamStore:
             raise ValueError(f"missing parameter values: {sorted(missing)[:3]}...")
         for name, t in self._params.items():
             arr = np.asarray(values[name], dtype=self.dtype)
-            if arr.shape != t.data.shape:
-                raise ValueError(f"shape mismatch for {name}: {arr.shape} != {t.data.shape}")
+            if arr.shape != self._shapes[name]:
+                raise ValueError(f"shape mismatch for {name}: {arr.shape} != {self._shapes[name]}")
             t.data = arr.copy()
 
     def buffer_state(self):
@@ -159,30 +201,35 @@ def _param_stream(seed, local_name):
     return np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(local_name.encode())]))
 
 
+def _initializer(name, local, shape, seed, dtype):
+    """The rule that makes parameter ``name``'s initial array, by its leaf name."""
+    leaf = local.rsplit(".", 1)[-1]
+    if leaf == "weight":
+        std = np.sqrt(2.0 / math.prod(shape[1:]))
+        return lambda: _param_stream(seed, local).normal(0.0, std, size=shape).astype(dtype)
+    if leaf == "gamma" or leaf.startswith("scale"):
+        return lambda: np.ones(shape, dtype=dtype)
+    if leaf in ("beta", "bias"):
+        return lambda: np.zeros(shape, dtype=dtype)
+    raise ValueError(f"no initialization rule for parameter {name!r}")
+
+
 def init_params(store, seed, prefix=""):
-    """Deterministically (re)initialize parameters under ``prefix``.
+    """Give each parameter under ``prefix`` its initialization rule, to run
+    when its ``data`` is next read; values it held are dropped.
 
     Each parameter gets its own stream derived from (seed, its name relative
     to the prefix), so two pods built from different seeds share no stream.
     Conv/dense weights are Kaiming-normal (fan-in, relu gain), BN gamma and
-    scale vectors are ones, biases and BN beta are zeros.
+    scale vectors are ones, biases and BN beta are zeros. A parameter with
+    none of these names raises ValueError here, before any value is drawn.
     """
-    for name, t in store.items():
-        if not name.startswith(prefix):
-            continue
-        local = name[len(prefix):]
-        leaf = local.rsplit(".", 1)[-1]
-        if leaf == "weight":
-            fan_in = int(np.prod(t.data.shape[1:]))
-            std = np.sqrt(2.0 / fan_in)
-            rng = _param_stream(seed, local)
-            t.data = rng.normal(0.0, std, size=t.data.shape).astype(store.dtype)
-        elif leaf == "gamma" or leaf.startswith("scale"):
-            t.data = np.ones_like(t.data)
-        elif leaf in ("beta", "bias"):
-            t.data = np.zeros_like(t.data)
-        else:
-            raise ValueError(f"no initialization rule for parameter {name!r}")
+    for name, shape in store.shapes():
+        if name.startswith(prefix):
+            t = store.param(name)
+            t.draw = _initializer(name, name[len(prefix):], shape, seed, store.dtype)
+            with contextlib.suppress(AttributeError):  # the slot is empty until read
+                del t.data
 
 
 def _conv(store, name, in_ch, out_ch, kernel, stride, padding):
@@ -285,7 +332,8 @@ def _build_base_into(store, prefix, spec):
 
 
 def build_pod_base(spec, seed, dtype=np.float32):
-    """Build one initialized pod base; returns (forward, its ParamStore)."""
+    """Build one pod base, its parameters initialized as ``build_multipod``'s;
+    returns (forward, its ParamStore)."""
     store = ParamStore(dtype)
     forward = _build_base_into(store, "", spec)
     init_params(store, seed)
@@ -323,7 +371,8 @@ class MultiPodModel:
 
 
 def build_multipod(spec, dtype=np.float32):
-    """Assemble and initialize a multi-pod model from its spec."""
+    """Assemble a multi-pod model from its spec; each parameter's initial
+    values are drawn when its ``data`` is first read (see ``init_params``)."""
     store = ParamStore(dtype)
     pods = []
     for i in range(spec.pods):

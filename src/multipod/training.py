@@ -303,14 +303,16 @@ class Checkpoint:
         if self.spec != model.spec.to_dict():
             raise CheckpointError(
                 f"checkpoint spec mismatch: saved {self.spec}, model {model.spec.to_dict()}")
-        # the model's live arrays in a checkpoint's layout: only their shapes are read
+        # the model's shapes by group: a parameter's, read without drawing its
+        # values, is also its momentum's
         store = model.store
-        expected = Checkpoint(None, {n: t.data for n, t in store.items()},
-                              {n: store.momentum.get(n, t.data) for n, t in store.items()},
-                              {n: (b.mean, b.var, b.initialized) for n, b in store.buffers()},
-                              0, 0, 0.0)
-        for _, label, arrays in _GROUPS:
-            got, want = ({n: np.shape(a) for n, a in arrays(c).items()} for c in (self, expected))
+        shapes = dict(store.shapes())
+        expected = {"param": shapes, "momentum": shapes,
+                    "bnmean": {n: b.mean.shape for n, b in store.buffers()},
+                    "bnvar": {n: b.var.shape for n, b in store.buffers()}}
+        for prefix, label, arrays in _GROUPS:
+            got = {n: np.shape(a) for n, a in arrays(self).items()}
+            want = expected[prefix]
             for name in sorted(got.keys() | want.keys()):
                 if got.get(name) != want.get(name):
                     raise CheckpointError(

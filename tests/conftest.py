@@ -27,3 +27,19 @@ settings.load_profile("default")
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def param_draws(monkeypatch):
+    """The (seed, local name) of each parameter stream opened from now on: one per
+    Kaiming draw of an initial weight."""
+    import multipod.models as models
+    opened = []
+    stream = models._param_stream
+
+    def counting(seed, local_name):
+        opened.append((seed, local_name))
+        return stream(seed, local_name)
+
+    monkeypatch.setattr(models, "_param_stream", counting)
+    return opened

@@ -839,6 +839,12 @@ class TestEval:
         assert outputs[0].startswith("top1=")
         assert "top5=" in outputs[0] and "loss=" in outputs[0]
 
+    def test_restored_model_draws_no_initial_weight(self, trained_run, capsys, param_draws):
+        cfg, out_dir = trained_run
+        param_draws.clear()
+        assert main(["eval", "--checkpoint", str(out_dir / "last.ckpt"), "--config", cfg]) == 0
+        assert param_draws == []
+
     def test_ten_crop_protocol(self, trained_run, capsys):
         cfg, out_dir = trained_run
         assert main(["eval", "--checkpoint", str(out_dir / "last.ckpt"),

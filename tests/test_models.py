@@ -1,3 +1,6 @@
+import math
+import zlib
+
 import numpy as np
 import pytest
 
@@ -152,6 +155,69 @@ class TestInitialization:
         store.add_param("oops.thing", (3,))
         with pytest.raises(ValueError):
             init_params(store, 0)
+
+
+def initial_values(spec, name, shape, dtype):
+    """What parameter ``name`` of a freshly built ``spec`` holds, by the rules
+    ``init_params`` documents: a Kaiming-normal draw from the stream of (its
+    seed, its name below the pod or head prefix), ones or zeros."""
+    owner, local = name.split(".", 1)
+    seed = (spec.seeds[int(owner[3:])] if owner.startswith("pod")
+            else zlib.crc32(repr(tuple(spec.seeds)).encode()))
+    leaf = local.rsplit(".", 1)[-1]
+    if leaf == "weight":
+        rng = np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(local.encode())]))
+        return rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[1:])), size=shape).astype(dtype)
+    return (np.ones if leaf == "gamma" or leaf.startswith("scale") else np.zeros)(shape, dtype)
+
+
+class TestDrawOnFirstRead:
+    """A parameter's initial values are drawn when its data is first read."""
+
+    def test_build_and_count_draw_nothing(self, param_draws):
+        spec = tripod(APPROACH2)
+        store = build_multipod(spec).store
+        assert store.total_params() == count_params(spec)
+        assert [shape for _, shape in store.shapes()][:2] == [(16, 3, 3, 3), (16,)]
+        assert param_draws == []
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["store-order", "reverse-order"])
+    @pytest.mark.parametrize("spec,dtype", [
+        (tripod(APPROACH1), np.float32),
+        (MultiPodSpec(pods=2, base=resnet_cifar(1), fusion=APPROACH2, combine_mode="product",
+                      classes=7, seeds=(5, 9)), np.float64),
+    ], ids=["float32-tripod", "float64-scale-fusion"])
+    def test_each_parameter_is_its_rule_drawn_directly(self, spec, dtype, reverse, param_draws):
+        store = build_multipod(spec, dtype=dtype).store
+        names = [name for name, _ in store.items()]
+        for name in reversed(names) if reverse else names:
+            store.param(name).data  # the first read draws
+        weights = [name for name in names if name.endswith(".weight")]
+        assert len(param_draws) == len(weights)  # each weight once, nothing else
+        for name, shape in store.shapes():
+            got = store.param(name).data
+            assert got.dtype == dtype and got.shape == shape, name
+            assert got.tobytes() == initial_values(spec, name, shape, dtype).tobytes(), name
+        assert len(param_draws) == len(weights)
+
+    def test_assignment_before_first_read_is_kept(self, param_draws):
+        store = build_multipod(tripod(APPROACH1, n=1)).store
+        t = store.param("pod1.stage2.block0.conv1.weight")
+        values = np.full((32, 16, 3, 3), 0.5, dtype=np.float32)
+        t.data = values
+        assert t.data is values
+        assert param_draws == []
+
+    def test_init_params_rearms_the_draw(self, param_draws):
+        _, store = build_pod_base(resnet_cifar(1), seed=3)
+        for name, shape in store.shapes():
+            store.param(name).data = np.full(shape, 7.0, dtype=np.float32)
+        init_params(store, 3)
+        assert param_draws == []
+        _, fresh = build_pod_base(resnet_cifar(1), seed=3)
+        for (name, t), (_, want) in zip(store.items(), fresh.items()):
+            assert t.data.tobytes() == want.data.tobytes(), name
+        assert len(param_draws) == 2 * sum(name.endswith(".weight") for name, _ in store.items())
 
 
 def feature_inputs(rng, k, size=8, batch=2):

@@ -388,17 +388,24 @@ class TestCheckpointRoundTrip:
             assert got.mean.tobytes() == b.mean.tobytes(), name
             assert got.var.tobytes() == b.var.tobytes() and got.initialized, name
 
-    def test_restored_model_evaluates_identically(self, tmp_path):
+    def test_restored_model_evaluates_identically(self, tmp_path, param_draws):
         model, train_batch, eval_batch, aug = tiny_setup()
         sched = TrainingSchedule(base_lr=0.05, milestones=(), epochs=1, batch_size=8)
         train(model, train_batch, eval_batch, sched, aug)
         path = tmp_path / "state.ckpt"
         save_checkpoint(Checkpoint.from_model(model, 1, aug.seed, 0.0), path)
+        param_draws.clear()
 
+        # restoring draws no initial weight: checking, counting and applying
+        # read shapes or assign, and the assigned values are the ones evaluated
         twin = build_multipod(tiny_spec())
-        load_checkpoint(path).apply(twin)
-        a = evaluate_center_crop(model, eval_batch, aug)
+        ckpt = load_checkpoint(path)
+        ckpt.check(twin)
+        assert twin.store.total_params() == model.store.total_params()
+        ckpt.apply(twin)
         b = evaluate_center_crop(twin, eval_batch, aug)
+        assert param_draws == []
+        a = evaluate_center_crop(model, eval_batch, aug)
         assert a == b
 
     def test_spec_mismatch_rejected(self):
