@@ -134,9 +134,10 @@ def gradient_check(model, inputs, labels, h=1e-5, tol=1e-5, atol=1e-8, progress=
     so that "error < tol" is exactly the pass condition. A non-finite
     quotient or gradient fails its scalar (error inf). ``sample_stride`` > 1
     checks only every Nth scalar per tensor (smoke-test mode); the default
-    covers everything. A stride < 1, or an ``h`` or ``tol`` that is not
-    finite and > 0, raises ValueError before any forward runs. Parameters
-    and BN buffers are left bit-identical to their state on entry.
+    covers everything. A stride < 1, an ``h`` or ``tol`` that is not finite
+    and > 0, or an ``atol`` that is not finite and >= 0 raises ValueError
+    before any forward runs. Parameters and BN buffers are left
+    bit-identical to their state on entry.
     """
     store = model.store
     if store.dtype != np.float64:
@@ -144,6 +145,8 @@ def gradient_check(model, inputs, labels, h=1e-5, tol=1e-5, atol=1e-8, progress=
     _check_step(h, sample_stride)
     if not 0 < tol < np.inf:
         raise ValueError(f"tolerance tol must be > 0 and finite, got tol={tol}")
+    if not 0 <= atol < np.inf:
+        raise ValueError(f"absolute tolerance atol must be >= 0 and finite, got atol={atol}")
 
     floor = atol / tol
     worst_rel = 0.0

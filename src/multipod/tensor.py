@@ -2,15 +2,18 @@
 
 Every operation records its inputs and a backward closure on the output
 tensor; ``Tensor.backward()`` walks the graph once in reverse topological
-order. Only leaves keep ``.grad``: a non-leaf node's buffer is freed as
-soon as its backward closure has run, so a second backward through the same
-graph starts clean. Leaf gradients accumulate: calling backward twice
-without clearing adds the two gradients (the optimizer is responsible for
-clearing at step boundaries). Batch norm and relu keep no activation that
-their backward can derive from arrays the graph already holds, and no
-closure holds its own output tensor, so reference counting frees a graph as
-soon as its root is dropped. There is no global tape, and ``no_grad`` holds
-per thread, so independent graphs can be evaluated concurrently.
+order and consumes it: once a node's closure has run, the node drops its
+gradient, its closure and its parents, so each activation is freed after
+the last backward that reads it, even while the caller still holds the
+root. A second backward through a consumed node raises ``StateError``. Only
+leaves keep ``.grad``, and leaf gradients accumulate: backward through two
+graphs without clearing adds the two gradients (the optimizer is
+responsible for clearing at step boundaries). Batch norm and relu keep no
+activation that their backward can derive from arrays the graph already
+holds, and no closure holds its own output tensor, so reference counting
+frees a graph as soon as its root is dropped. There is no global tape, and
+``no_grad`` holds per thread, so independent graphs can be evaluated
+concurrently.
 
 Gradient ownership: the ``g`` a backward closure receives is its node's own
 buffer, which nothing else holds and which is freed once the closure
@@ -25,10 +28,13 @@ Buffer hand-over: a tensor whose ``_lent`` flag is set lends its buffer to
 the op that reads it. ``relu(x)`` then writes its result into ``x.data``,
 and ``add(a, b)`` writes into ``a.data`` when ``a`` is lent and ``b`` has
 its shape and dtype; otherwise both allocate, as they do for any other
-operand. The bits are those of the allocating op. A lent value must have
-that one consumer, and no backward closure may read it: the models lend each
-batch norm output (batch norm's backward recomputes x-hat from its input)
-and each residual sum (add's backward reads no data). Relu's backward reads
+operand. The bits are those of the allocating op. A lent operand that the
+op did not write into is released: it keeps its shape and dtype, as a
+zero-strided view, but no longer holds its bytes (a projection block's
+shortcut batch norm output, in ``add``). A lent value must have that one
+consumer, and no backward closure may read it: the models lend each batch
+norm output (batch norm's backward recomputes x-hat from its input) and
+each residual sum (add's backward reads only shapes). Relu's backward reads
 its own output, which is then the shared buffer.
 
 Leading axis: an operand may carry one extra leading axis of R independent
@@ -141,21 +147,27 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={self._op or 'leaf'})"
 
     def backward(self):
-        """Populate ``.grad`` of every reachable tensor with d(self)/d(tensor).
+        """Populate ``.grad`` of every reachable leaf with d(self)/d(leaf),
+        consuming the graph.
 
         ``self`` must hold a single scalar. Leaf gradients accumulate into
-        any existing ``.grad`` buffers rather than overwriting them. A
-        non-leaf node's ``.grad`` is freed (set to None) once its closure
-        has passed it on, so only leaves hold a gradient afterwards.
+        any existing ``.grad`` buffers rather than overwriting them. Each
+        non-leaf node is held only until its closure has run; it then drops
+        its ``.grad``, its closure and its parents, so only leaves hold a
+        gradient afterwards and the graph holds no activation, though every
+        tensor keeps its ``data``. A second backward through a consumed
+        node raises ``StateError`` before any gradient changes.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.data.shape}")
         order = _toposort(self)
         _accumulate(self, np.ones_like(self.data), owned=True)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-                node.grad = None
+            if node._op:
+                node.grad, node._backward, node._parents = None, None, ()
 
     # Arithmetic sugar used by models and tests.
     def __add__(self, other):
@@ -173,6 +185,8 @@ def _toposort(root):
             continue
         if id(node) in visited:
             continue
+        if node._op and node._backward is None:  # recorded, then consumed
+            raise StateError(f"{node._op} node already consumed by a backward")
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -225,6 +239,9 @@ def _result(data, parents, backward, op, leading=False):
         out._parents = tuple(parents)
         out._backward = backward
         out._op = op
+    for p in parents:
+        if p._lent and p.data is not data:  # released; see "Buffer hand-over"
+            p.data = np.broadcast_to(np.zeros((), p.data.dtype), p.data.shape)
     return out
 
 

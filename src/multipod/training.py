@@ -473,7 +473,8 @@ def train(model, train_batch, eval_batch, schedule, aug, out_dir=None,
             sgd_step(store, lr, schedule.momentum, schedule.weight_decay)
             loss_sum += lval * len(idx)
             hits += int(_topk_hits(logits.data, labels, 1).sum())
-            # drop this step's graph before the next forward records one
+            # backward consumed the graph; drop its root and logits too, so
+            # nothing of this step lives into the next forward
             del logits, loss
         ev = evaluate_center_crop(model, eval_batch, aug)
         record = TrainLogRecord(epoch=epoch, lr=lr, train_loss=loss_sum / n,

@@ -93,7 +93,8 @@ def test_sample_stride_below_one_is_rejected(stride):
 
 
 BAD_ARGUMENTS = [*(("h", h) for h in (0.0, -1e-5, np.nan, np.inf)),
-                 *(("tol", tol) for tol in (0.0, -1.0, np.nan, np.inf)), ("sample_stride", 0)]
+                 *(("tol", tol) for tol in (0.0, -1.0, np.nan, np.inf)),
+                 *(("atol", atol) for atol in (-1.0, np.nan, np.inf)), ("sample_stride", 0)]
 
 
 @pytest.mark.parametrize("name,value", BAD_ARGUMENTS,

@@ -67,13 +67,19 @@ class TestTensorBasics:
         tensor_sum(x).backward()
         assert np.array_equal(x.grad, [2.0, 2.0])
 
-    def test_second_backward_through_same_graph_accumulates_once(self):
-        # the first backward leaves no non-leaf buffer for the second to re-add
-        x = t64([1.0, 2.0], requires_grad=True)
-        s = tensor_sum(x + x)
+    def test_second_backward_through_a_consumed_graph_raises(self):
+        # the first backward consumes the graph; a second, from the same root
+        # or from a new one over a consumed node, changes no gradient
+        x, w = t64([1.0, 2.0], requires_grad=True), t64([3.0, 5.0], requires_grad=True)
+        y = T.mul(x, w)
+        s = tensor_sum(y + x)
         s.backward()
-        s.backward()
-        assert np.array_equal(x.grad, [4.0, 4.0])
+        first = x.grad.tobytes(), w.grad.tobytes()
+        for root in (s, tensor_sum(T.add(y, w))):
+            with pytest.raises(T.StateError, match="consumed"):
+                root.backward()
+            assert (x.grad.tobytes(), w.grad.tobytes()) == first
+        assert np.array_equal(x.grad, [4.0, 6.0]) and np.array_equal(w.grad, [1.0, 2.0])
 
     def test_shared_subexpression_grad_counted_once_per_use(self):
         x = t64([3.0], requires_grad=True)
@@ -217,6 +223,18 @@ class TestBufferHandOver:
         out = T.add(T.Tensor(b), lent(a.copy())).data
         assert not np.shares_memory(out, a) and b.tobytes() == b_bytes
 
+    def test_lent_add_releases_the_operand_it_does_not_write_into(self, rng):
+        a, b = (rng.standard_normal((2, 3, 4, 4)).astype(np.float32) for _ in range(2))
+        want = (a + b).tobytes()
+        bt = lent(b)
+        freed = weakref.ref(bt.data)
+        del b
+        out = T.add(lent(a), bt).data
+        assert out is a and out.tobytes() == want
+        # b keeps its shape and dtype, but not its buffer
+        assert freed() is None
+        assert (bt.shape, bt.dtype, bt.data.strides) == ((2, 3, 4, 4), np.float32, (0, 0, 0, 0))
+
     @pytest.mark.parametrize("a_shape,b_shape,b_dtype", [
         ((2, 3, 4, 4), (5, 2, 3, 4, 4), np.float32),  # b carries the replica axis
         ((2, 3, 4, 4), (3, 1, 1), np.float32),  # b broadcasts
@@ -233,14 +251,15 @@ class TestBufferHandOver:
 
     def test_gradients_through_lent_buffers(self, rng):
         # relu's backward reads its output, which is the lent buffer; add's
-        # reads no data
+        # reads only shapes, so its released second operand takes a gradient
         x, y = (rng.standard_normal((2, 3, 4, 4)) for _ in range(2))
         grads = []
         for hand_over in (False, True):
             xt, yt = t64(x, requires_grad=True), t64(y, requires_grad=True)
             s = T.mul(xt, t64(2.0 * np.ones_like(x)))
-            s._lent = hand_over
-            r = T.add(s, yt)
+            u = T.mul(yt, t64(3.0 * np.ones_like(y)))
+            s._lent = u._lent = hand_over
+            r = T.add(s, u)
             r._lent = hand_over
             tensor_sum(T.relu(r)).backward()
             grads.append((xt.grad.tobytes(), yt.grad.tobytes()))
@@ -907,35 +926,52 @@ class TestLeanBackward:
     collector."""
 
     @staticmethod
-    def training_loss(seed=3):
-        spec = MultiPodSpec(pods=2, base=resnet_cifar(1), fusion=APPROACH1, classes=10)
+    def training_loss(seed=3, pods=2):
+        spec = MultiPodSpec(pods=pods, base=resnet_cifar(1), fusion=APPROACH1, classes=10)
         model = build_multipod(spec, dtype=np.float64)
         rng = np.random.default_rng(seed)
-        inputs = [t64(rng.normal(size=(2, 3, 8, 8))) for _ in range(2)]
+        inputs = [t64(rng.normal(size=(2, 3, 8, 8))) for _ in range(pods)]
         logits = model.forward(inputs, training=True)
         return model, logits, T.softmax_cross_entropy(logits, rng.integers(0, 10, size=2))
 
     def test_only_leaves_keep_gradients(self):
         model, _, loss = self.training_loss()
-        loss.backward()
         inner = [n for n in T._toposort(loss) if n._backward is not None]
+        loss.backward()
         assert {"conv2d", "batch_norm2d", "relu", "add", "concat_linear"} <= {n._op for n in inner}
         assert all(n.grad is None for n in inner)
         for name, p in model.store.items():
             assert p.grad is not None and p.grad.shape == p.shape, name
+
+    def test_backward_frees_every_activation_while_the_root_is_held(self):
+        # a resnet8 tripod step: no conv, batch norm or relu output outlives
+        # the backward, though the caller still holds the logits and the loss
+        gc.disable()
+        try:
+            _, logits, loss = self.training_loss(pods=3)
+            refs = [weakref.ref(n.data) for n in T._toposort(loss)
+                    if n._op in ("conv2d", "batch_norm2d", "relu")]
+            # a pod's stem takes three, each of its 3 blocks six and each of
+            # its 2 projection shortcuts two
+            assert len(refs) == 3 * (3 + 3 * 6 + 2 * 2)
+            loss.backward()
+            assert [r for r in refs if r() is not None] == []
+            assert logits.data.shape == (2, 10) and np.isfinite(loss.data)
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("backward", [True, False])
     def test_dropping_the_root_frees_activations(self, backward):
         gc.disable()
         try:
             _, logits, loss = self.training_loss()
-            if backward:
-                loss.backward()
             nodes = T._toposort(loss)
             refs = {op: weakref.ref(next(n for n in nodes if n._op == op).data)
                     for op in ("batch_norm2d", "relu")}
             del nodes
             assert all(r() is not None for r in refs.values())
+            if backward:
+                loss.backward()
             del logits, loss
             assert {op: r() is None for op, r in refs.items()} == dict.fromkeys(refs, True)
         finally:
