@@ -2,11 +2,13 @@
 
 Central differences in float64 over every parameter scalar. Cost is kept
 tractable by exploiting structure: perturbing a parameter of pod i cannot
-change other pods' features (cached once), within a pod only the segments
-at and after the parameter need recomputation, and the perturbed copies of
-one tensor run together: a chunk of +h and -h copies is stacked along the
-replica axis (see ``tensor``), and one pass of the model's own segments and
-head through the affected suffix gives one loss per copy.
+change other pods' features (cached once); within a pod, whose segments are
+the stem, each basic block's two halves and the pool, a pass resumes at the
+half-block that first reads the parameter, from that segment's cached input
+(``PodForward.states``); and the perturbed copies of one tensor run
+together: a chunk of +h and -h copies is stacked along the replica axis
+(see ``tensor``), and one pass of the model's own segments and head through
+the affected suffix gives one loss per copy.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from . import tensor as T
 # plus the suffix's activations. Large enough to spread each op's Python
 # overhead over many copies, small enough to add only a few MB to a check.
 CHUNK_BYTES = 4 << 20
-# Activation arrays alive per copy, in units of the suffix's largest segment
-# input: a 3x3 conv's unfolded input alone is nine.
+# Activation arrays alive per copy, in units of the largest array among the
+# suffix's segment states. On criterion 2's tripod, tracemalloc puts a pod
+# tensor's peak at 4.1 MB above the check's entry, the cached states
+# included, and the head's, whose only states are the features, at 5.2 MB.
 ACTIVATION_COPIES = 12
 
 
@@ -52,6 +56,11 @@ def _preserved(store):
         store.load_buffer_state(buffers)
 
 
+def _largest(states):
+    # bytes of the largest array among the states; a half-block's is a pair
+    return max(t.data.nbytes for s in states for t in (s if isinstance(s, tuple) else (s,)))
+
+
 def _check_step(h, sample_stride):
     if not (0 < h < np.inf and sample_stride >= 1):
         raise ValueError(f"finite-difference step h must be > 0 and finite and sample_stride "
@@ -68,27 +77,18 @@ def finite_differences(model, inputs, labels, h=1e-5, sample_stride=1):
     """
     _check_step(h, sample_stride)
     store = model.store
-    k = model.spec.pods
     with _preserved(store):
-        # Cache, per pod, the activation entering every segment plus the
-        # final features; FD re-runs only the affected suffix.
-        seg_inputs = []
-        feats = []
+        # Cache, per pod, the input of every segment and the features; FD
+        # re-runs only the affected suffix.
         with T.no_grad():
-            for i in range(k):
-                x = inputs[i]
-                cached = []
-                for _, fn in model.pods[i].segments:
-                    cached.append(x)
-                    x = fn(x, True)
-                seg_inputs.append(cached)
-                feats.append(x)
+            states = [pod.states(x, True) for pod, x in zip(model.pods, inputs)]
+        feats = [s[-1] for s in states]
 
         def losses(pod_idx, seg_idx):
             with T.no_grad():
                 cur = feats
                 if pod_idx is not None:
-                    f = model.pods[pod_idx].run_from(seg_idx, seg_inputs[pod_idx][seg_idx], True)
+                    f = model.pods[pod_idx].run_from(seg_idx, states[pod_idx][seg_idx], True)
                     cur = feats[:pod_idx] + [f] + feats[pod_idx + 1:]
                 return T.softmax_cross_entropy(model.head(cur), labels).data
 
@@ -97,29 +97,30 @@ def finite_differences(model, inputs, labels, h=1e-5, sample_stride=1):
                 pod_idx = int(name[3:name.index(".")])
                 local = name[name.index(".") + 1:]
                 seg_idx = model.pods[pod_idx].segment_of(local)
-                acts = seg_inputs[pod_idx][seg_idx:]
+                acts = states[pod_idx][seg_idx:]
             else:
                 pod_idx, seg_idx = None, 0
                 acts = feats
             base = p.data
             flat = base.reshape(-1)
             positions = np.arange(0, flat.size, sample_stride)
-            per_copy = base.nbytes + ACTIVATION_COPIES * max(a.data.nbytes for a in acts)
+            per_copy = base.nbytes + ACTIVATION_COPIES * _largest(acts)
             chunk = max(1, CHUNK_BYTES // (2 * per_copy))
             fd = np.empty(len(positions))
-            buf = np.empty((2 * min(chunk, len(positions)), flat.size))
+            # copies 0..m-1 hold +h at a chunk's m positions, copies m..2m-1
+            # hold -h; each is put back to the parameter's values after use
+            buf = np.tile(flat, (2 * min(chunk, len(positions)), 1))
             for lo in range(0, len(positions), chunk):
                 js = positions[lo:lo + chunk]
                 m = len(js)
-                # copies 0..m-1 hold +h at js, copies m..2m-1 hold -h
                 copies = buf[:2 * m]
-                copies[:] = flat
                 rows = np.arange(m)
                 copies[rows, js] += h
                 copies[m + rows, js] -= h
                 p.data = copies.reshape((2 * m,) + base.shape)
                 out = losses(pod_idx, seg_idx)
                 p.data = base
+                copies[rows, js] = copies[m + rows, js] = flat[js]
                 fd[lo:lo + m] = (out[:m] - out[m:]) / (2.0 * h)
             yield name, positions, fd
 

@@ -255,34 +255,41 @@ def _bn(store, name, channels):
     return fwd
 
 
-def _basic_block(store, prefix, in_ch, out_ch, stride):
-    conv1 = _conv(store, f"{prefix}.conv1", in_ch, out_ch, 3, stride, 1)
-    bn1 = _bn(store, f"{prefix}.bn1", out_ch)
-    conv2 = _conv(store, f"{prefix}.conv2", out_ch, out_ch, 3, 1, 1)
-    bn2 = _bn(store, f"{prefix}.bn2", out_ch)
+def _basic_block(store, prefix, block, in_ch, out_ch, stride):
+    """Block ``block`` of a pod whose names start with ``prefix``, as its two
+    segments (see ``PodForward``): the first maps x to (relu(bn1(conv1 x)),
+    shortcut(x)), the second that pair to relu(bn2(conv2 mid) + skip)."""
+    conv1 = _conv(store, f"{prefix}{block}.conv1", in_ch, out_ch, 3, stride, 1)
+    bn1 = _bn(store, f"{prefix}{block}.bn1", out_ch)
+    conv2 = _conv(store, f"{prefix}{block}.conv2", out_ch, out_ch, 3, 1, 1)
+    bn2 = _bn(store, f"{prefix}{block}.bn2", out_ch)
     if stride != 1 or in_ch != out_ch:
-        down_conv = _conv(store, f"{prefix}.down.conv", in_ch, out_ch, 1, stride, 0)
-        down_bn = _bn(store, f"{prefix}.down.bn", out_ch)
+        down_conv = _conv(store, f"{prefix}{block}.down.conv", in_ch, out_ch, 1, stride, 0)
+        down_bn = _bn(store, f"{prefix}{block}.down.bn", out_ch)
         shortcut = lambda x, tr: down_bn(down_conv(x, tr), tr)
     else:
         shortcut = lambda x, tr: x
-    def fwd(x, training):
-        out = T.relu(bn1(conv1(x, training), training))
-        out = bn2(conv2(out, training), training)
-        return T.relu(_lend(out + shortcut(x, training)))
-    return fwd
+    def first(x, training):
+        return T.relu(bn1(conv1(x, training), training)), shortcut(x, training)
+    def second(pair, training):
+        mid, skip = pair
+        return T.relu(_lend(bn2(conv2(mid, training), training) + skip))
+    return [((f"{block}.conv1", f"{block}.bn1", f"{block}.down"), first),
+            ((f"{block}.conv2", f"{block}.bn2"), second)]
 
 
-def _chain(fns):
-    def fwd(x, training):
-        for fn in fns:
-            x = fn(x, training)
-        return x
-    return fwd
+def _unlend(state):
+    for t in state if isinstance(state, tuple) else (state,):
+        t._lent = False
+    return state
 
 
 class PodForward:
-    """Composable forward of one pod base, kept as named segments.
+    """Composable forward of one pod base, kept as segments: the stem, each
+    basic block's two halves, and the pool. A segment is ``(owned, fn)``, fn
+    mapping the previous segment's output (a tensor, or a half-block's pair
+    of tensors) to its own, and ``owned`` the local name prefixes of the
+    parameters it reads, which no earlier segment reads.
 
     Segment granularity lets a gradient check recompute only the suffix of
     the pod that a perturbed parameter can influence.
@@ -299,35 +306,42 @@ class PodForward:
             x = fn(x, training)
         return x
 
+    def states(self, x, training=False):
+        """Every segment's input, then the pod's output. None is lent: a
+        state outlives its one consumer, so it can feed ``run_from`` again."""
+        out = [_unlend(x)]
+        for _, fn in self.segments:
+            out.append(_unlend(fn(out[-1], training)))
+        return out
+
     def segment_of(self, local_name):
-        for i, (name, _) in enumerate(self.segments):
-            if local_name.startswith(name + "."):
+        """The index of the segment that owns parameter ``local_name``."""
+        for i, (owned, _) in enumerate(self.segments):
+            if any(local_name.startswith(prefix + ".") for prefix in owned):
                 return i
-        return 0
+        raise ValueError(f"no segment owns parameter {local_name!r}")
 
 
 def _build_base_into(store, prefix, spec):
     widths = spec.stage_widths
-    segments = []
-    if spec.family == CIFAR_FAMILY:
+    cifar = spec.family == CIFAR_FAMILY
+    if cifar:
         stem_conv = _conv(store, f"{prefix}stem.conv", 3, widths[0], 3, 1, 1)
-        stem_bn = _bn(store, f"{prefix}stem.bn", widths[0])
-        segments.append(("stem", _chain([stem_conv, stem_bn, lambda x, tr: T.relu(x)])))
     else:
         stem_conv = _conv(store, f"{prefix}stem.conv", 3, widths[0], 7, 2, 3)
-        stem_bn = _bn(store, f"{prefix}stem.bn", widths[0])
-        pool = lambda x, tr: T.max_pool2d(x, 3, 2, 1)
-        segments.append(("stem", _chain([stem_conv, stem_bn, lambda x, tr: T.relu(x), pool])))
+    stem_bn = _bn(store, f"{prefix}stem.bn", widths[0])
+    def stem(x, training):
+        x = T.relu(stem_bn(stem_conv(x, training), training))
+        return x if cifar else T.max_pool2d(x, 3, 2, 1)
+    segments = [(("stem",), stem)]
 
     in_ch = widths[0]
     for si, width in enumerate(widths, start=1):
-        blocks = []
         for bi in range(spec.n):
             stride = 2 if (si > 1 and bi == 0) else 1
-            blocks.append(_basic_block(store, f"{prefix}stage{si}.block{bi}", in_ch, width, stride))
+            segments += _basic_block(store, prefix, f"stage{si}.block{bi}", in_ch, width, stride)
             in_ch = width
-        segments.append((f"stage{si}", _chain(blocks)))
-    segments.append(("pool", lambda x, tr: T.global_avg_pool(x)))
+    segments.append(((), lambda x, tr: T.global_avg_pool(x)))
     return PodForward(segments)
 
 

@@ -35,7 +35,10 @@ shortcut batch norm output, in ``add``). A lent value must have that one
 consumer, and no backward closure may read it: the models lend each batch
 norm output (batch norm's backward recomputes x-hat from its input) and
 each residual sum (add's backward reads only shapes). Relu's backward reads
-its own output, which is then the shared buffer.
+its own output, which is then the shared buffer. A value kept to feed its
+consumer again is not lent: ``PodForward.states`` clears the flag on each
+segment state it caches, so a half-block's shortcut output survives the add
+that reads it.
 
 Leading axis: an operand may carry one extra leading axis of R independent
 copies of the same computation (the finite-difference checker stacks R

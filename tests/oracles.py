@@ -215,35 +215,34 @@ def fd_gradient(f, arr, h=1e-6):
     return grad
 
 
-def fd_quotients_oracle(model, inputs, labels, h=1e-5, sample_stride=1):
+def fd_quotients_oracle(model, inputs, labels, h=1e-5, sample_stride=1, cached=True):
     """Central differences of a multi-pod model's training-mode loss, one
     perturbed scalar and two suffix passes at a time: the checker's original
     loop, kept as the reference for its replica-batched rewrite. Returns
     {name: quotients at every ``sample_stride``-th flat index}. Perturbs
     parameters in place and restores each scalar; BN running buffers are
-    updated as a side effect."""
-    seg_inputs, feats = [], []
+    updated as a side effect.
+
+    ``cached=False`` runs the whole model's forward for every pass instead,
+    so the reference shares neither ``PodForward.states`` nor ``segment_of``
+    with the checker."""
     with T.no_grad():
-        for i in range(model.spec.pods):
-            x = inputs[i]
-            cached = []
-            for _, fn in model.pods[i].segments:
-                cached.append(x)
-                x = fn(x, True)
-            seg_inputs.append(cached)
-            feats.append(x)
+        states = [pod.states(x, True) for pod, x in zip(model.pods, inputs)]
+    feats = [s[-1] for s in states]
 
     def loss_after(pod_idx, seg_idx):
         with T.no_grad():
+            if not cached:
+                return float(T.softmax_cross_entropy(model.forward(inputs, True), labels).data)
             cur = feats
             if pod_idx is not None:
-                f = model.pods[pod_idx].run_from(seg_idx, seg_inputs[pod_idx][seg_idx], True)
+                f = model.pods[pod_idx].run_from(seg_idx, states[pod_idx][seg_idx], True)
                 cur = feats[:pod_idx] + [f] + feats[pod_idx + 1:]
             return float(T.softmax_cross_entropy(model.head(cur), labels).data)
 
     out = {}
     for name, p in model.store.items():
-        if name.startswith("pod"):
+        if name.startswith("pod") and cached:
             pod_idx = int(name[3:name.index(".")])
             seg_idx = model.pods[pod_idx].segment_of(name[name.index(".") + 1:])
         else:

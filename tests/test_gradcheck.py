@@ -33,6 +33,18 @@ def test_batched_quotients_match_naive_reference(fusion, combine_mode):
         np.testing.assert_allclose(fd, ref, rtol=0, atol=1e-9, err_msg=name)
 
 
+def test_batched_quotients_match_an_uncached_reference():
+    # The reference runs the whole model for every pass, so a cached state
+    # that a later pass overwrote or released would show here.
+    model, inputs, labels = small_model()
+    batched = {name: fd for name, _, fd
+               in finite_differences(model, inputs, labels, h=1e-5, sample_stride=397)}
+    naive = fd_quotients_oracle(model, inputs, labels, h=1e-5, sample_stride=397, cached=False)
+    assert list(batched) == list(naive)
+    for name, ref in naive.items():
+        np.testing.assert_allclose(batched[name], ref, rtol=0, atol=1e-9, err_msg=name)
+
+
 def test_check_leaves_model_bit_identical():
     model, inputs, labels = small_model()
     model.forward(inputs, training=True)  # running buffers away from their initial values

@@ -286,6 +286,63 @@ class TestForwardStructure:
         assert np.array_equal(model.forward([x], training=True).data, manual.data)
 
 
+def _same_state(a, b):
+    pairs = zip(a, b) if isinstance(a, tuple) else [(a, b)]
+    return all(x.data.tobytes() == y.data.tobytes() for x, y in pairs)
+
+
+class TestHalfBlockSegments:
+    """A pod's segments are the stem, each basic block's two halves and the
+    pool; a gradient check resumes a perturbed pass at the segment that owns
+    the parameter."""
+
+    @staticmethod
+    def pod(spec, size=8):
+        forward, store = build_pod_base(spec, seed=3, dtype=np.float64)
+        x = T.Tensor(np.random.default_rng(4).normal(size=(2, 3, size, size)), dtype=np.float64)
+        return forward, store, x
+
+    @pytest.mark.parametrize("spec,size", [(resnet_cifar(1), 8), (resnet_cifar(2), 8),
+                                           (resnet_imagenet(1), 16)],
+                             ids=["cifar-n1", "cifar-n2", "imagenet-n1"])
+    def test_each_parameter_is_first_read_by_the_segment_that_owns_it(self, spec, size):
+        forward, store, x = self.pod(spec, size)
+        assert len(forward.segments) == 2 + 2 * spec.n * len(spec.stage_widths)
+        for si in range(1, len(spec.stage_widths) + 1):
+            for bi in range(spec.n):
+                block = f"stage{si}.block{bi}"
+                first = forward.segment_of(f"{block}.conv1.weight")
+                assert forward.segment_of(f"{block}.conv2.weight") == first + 1
+        with T.no_grad():
+            before = forward.states(x, True)
+        assert len(before) == len(forward.segments) + 1
+        for name, p in store.items():
+            k = forward.segment_of(name)
+            base = p.data
+            p.data = base + 0.5
+            with T.no_grad():
+                after = forward.states(x, True)
+            p.data = base
+            # every state before the owner's output is the same bits; its output is not
+            assert all(_same_state(a, b) for a, b in zip(before[:k + 1], after[:k + 1])), name
+            assert not _same_state(before[k + 1], after[k + 1]), name
+
+    def test_a_cached_pair_feeds_run_from_twice(self):
+        forward, _, x = self.pod(resnet_cifar(1))
+        # the second half of a projection block, whose skip is a lent batch norm output
+        k = forward.segment_of("stage2.block0.conv2.weight")
+        with T.no_grad():
+            states = forward.states(x, True)
+            runs = [forward.run_from(k, states[k], True).data.tobytes() for _ in range(2)]
+            full = forward(x, True).data.tobytes()
+        assert runs[0] == runs[1] == states[-1].data.tobytes() == full
+
+    def test_segment_of_refuses_a_parameter_no_segment_owns(self):
+        forward, _, _ = self.pod(resnet_cifar(1))
+        with pytest.raises(ValueError, match="'stage4.block0.conv1.weight'"):
+            forward.segment_of("stage4.block0.conv1.weight")
+
+
 def _owner(a):
     while a.base is not None:
         a = a.base

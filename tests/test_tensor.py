@@ -231,9 +231,11 @@ class TestBufferHandOver:
         del b
         out = T.add(lent(a), bt).data
         assert out is a and out.tobytes() == want
-        # b keeps its shape and dtype, but not its buffer
+        # b keeps its shape and dtype, but not its buffer: a read-only view of one zero
         assert freed() is None
         assert (bt.shape, bt.dtype, bt.data.strides) == ((2, 3, 4, 4), np.float32, (0, 0, 0, 0))
+        assert not bt.data.flags.owndata and not bt.data.flags.writeable
+        assert bt.data.base.nbytes == bt.dtype.itemsize and not bt.data.any()
 
     @pytest.mark.parametrize("a_shape,b_shape,b_dtype", [
         ((2, 3, 4, 4), (5, 2, 3, 4, 4), np.float32),  # b carries the replica axis
