@@ -8,11 +8,15 @@ half-block that first reads the parameter, from that segment's cached input
 (``PodForward.states``); and the perturbed copies of one tensor run
 together: a chunk of +h and -h copies is stacked along the replica axis
 (see ``tensor``), and one pass of the model's own segments and head through
-the affected suffix gives one loss per copy.
+the affected suffix gives one loss per copy. A copy of a conv weight is the
+one filter it perturbs, with that filter's index (``tensor.FilterCopies``):
+output channel f reads only filter f, so conv computes the weight's output
+once a chunk and each copy's channel beside it.
 """
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -20,14 +24,18 @@ import numpy as np
 
 from . import tensor as T
 
-# Bytes one chunk of perturbed copies may hold: the stacked parameter copies
-# plus the suffix's activations. Large enough to spread each op's Python
-# overhead over many copies, small enough to add only a few MB to a check.
+# Bytes one chunk of perturbed copies may hold: the parameter copies plus the
+# suffix's activations. A conv weight's copy costs its filter, any other
+# parameter's copy the whole tensor, and a pass holds each copy twice: stacked,
+# and as its op's own operand (conv's weight matrix, the head's blocks of its
+# dense weight). Large enough to spread each op's Python overhead over many
+# copies, small enough to add only a few MB to a check.
 CHUNK_BYTES = 4 << 20
 # Activation arrays alive per copy, in units of the largest array among the
-# suffix's segment states. On criterion 2's tripod, tracemalloc puts a pod
-# tensor's peak at 4.1 MB above the check's entry, the cached states
-# included, and the head's, whose only states are the features, at 5.2 MB.
+# suffix's segment states (the features, for a head tensor). On criterion
+# 2's tripod at sample stride 11, tracemalloc puts a pod tensor's chunk at
+# most 3.0 MiB above the check's entry, the cached states included (a stem
+# conv weight's), and the head's dense weight's at 3.3 MiB.
 ACTIVATION_COPIES = 12
 
 
@@ -62,9 +70,14 @@ def _largest(states):
 
 
 def _check_step(h, sample_stride):
-    if not (0 < h < np.inf and sample_stride >= 1):
+    # a stride is an integer, not a bool, as ``tensor._count`` takes a conv's
+    try:
+        stride = operator.index(sample_stride)
+    except TypeError:
+        stride = 0
+    if not (0 < h < np.inf and stride >= 1) or isinstance(sample_stride, (bool, np.bool_)):
         raise ValueError(f"finite-difference step h must be > 0 and finite and sample_stride "
-                         f">= 1, got h={h}, sample_stride={sample_stride}")
+                         f">= 1, an integer, got h={h}, sample_stride={sample_stride}")
 
 
 def finite_differences(model, inputs, labels, h=1e-5, sample_stride=1):
@@ -102,25 +115,24 @@ def finite_differences(model, inputs, labels, h=1e-5, sample_stride=1):
                 pod_idx, seg_idx = None, 0
                 acts = feats
             base = p.data
-            flat = base.reshape(-1)
-            positions = np.arange(0, flat.size, sample_stride)
-            per_copy = base.nbytes + ACTIVATION_COPIES * _largest(acts)
+            # a copy is one filter of a conv weight, the whole of any other
+            conv = base.ndim == 4
+            units = base.reshape(len(base) if conv else 1, -1)
+            positions = np.arange(0, base.size, sample_stride)
+            per_copy = 2 * units[0].nbytes + ACTIVATION_COPIES * _largest(acts)
             chunk = max(1, CHUNK_BYTES // (2 * per_copy))
             fd = np.empty(len(positions))
-            # copies 0..m-1 hold +h at a chunk's m positions, copies m..2m-1
-            # hold -h; each is put back to the parameter's values after use
-            buf = np.tile(flat, (2 * min(chunk, len(positions)), 1))
             for lo in range(0, len(positions), chunk):
                 js = positions[lo:lo + chunk]
                 m = len(js)
-                copies = buf[:2 * m]
-                rows = np.arange(m)
-                copies[rows, js] += h
-                copies[m + rows, js] -= h
-                p.data = copies.reshape((2 * m,) + base.shape)
+                # copies 0..m-1 hold +h at a chunk's m positions, m..2m-1 -h
+                which, at = np.divmod(np.tile(js, 2), units.shape[1])
+                copies = units[which]
+                copies[np.arange(2 * m), at] += np.repeat([h, -h], m)
+                p.data = (T.FilterCopies(base, copies.reshape((2 * m,) + base.shape[1:]), which)
+                          if conv else copies.reshape((2 * m,) + base.shape))
                 out = losses(pod_idx, seg_idx)
                 p.data = base
-                copies[rows, js] = copies[m + rows, js] = flat[js]
                 fd[lo:lo + m] = (out[:m] - out[m:]) / (2.0 * h)
             yield name, positions, fd
 
@@ -135,10 +147,11 @@ def gradient_check(model, inputs, labels, h=1e-5, tol=1e-5, atol=1e-8, progress=
     so that "error < tol" is exactly the pass condition. A non-finite
     quotient or gradient fails its scalar (error inf). ``sample_stride`` > 1
     checks only every Nth scalar per tensor (smoke-test mode); the default
-    covers everything. A stride < 1, an ``h`` or ``tol`` that is not finite
-    and > 0, or an ``atol`` that is not finite and >= 0 raises ValueError
-    before any forward runs. Parameters and BN buffers are left
-    bit-identical to their state on entry.
+    covers everything. A stride that is not an integer >= 1 (a bool is
+    not), an ``h`` or ``tol`` that is not finite and > 0, or an ``atol``
+    that is not finite and >= 0 raises ValueError before any forward runs.
+    Parameters and BN buffers are left bit-identical to their state on
+    entry.
     """
     store = model.store
     if store.dtype != np.float64:

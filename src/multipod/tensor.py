@@ -43,9 +43,13 @@ that reads it.
 Leading axis: an operand may carry one extra leading axis of R independent
 copies of the same computation (the finite-difference checker stacks R
 perturbed copies of one parameter this way). Images are then R x B x C x H
-x W, conv weights R x F x C x kH x kW, per-channel and dense parameters one
-rank up. Each op has one forward formula, written over any leading axes,
-so it computes every replica at once and gives, in value, what each
+x W, per-channel and dense parameters one rank up. A conv weight's replicas
+are filter copies (``FilterCopies``): each differs from the weight in one
+filter, and output channel f reads only filter f, so conv runs the weight's
+F filters and the R copies' filters as F + R output channels of one pass
+over an unreplicated input, and copy r's output is the weight's with one
+channel replaced. Each op has one forward formula, written over any leading
+axes, so it computes every replica at once and gives, in value, what each
 replica would give alone: batch norm takes per-replica batch statistics and
 leaves its running buffers alone, and cross-entropy gives one loss per
 replica. The backward closures of conv, batch norm, the heads and the loss
@@ -84,6 +88,7 @@ import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
+from typing import NamedTuple
 
 import numpy as np
 
@@ -528,22 +533,45 @@ def _count(name, value, least):
     return count
 
 
+class FilterCopies(NamedTuple):
+    """R copies of a conv weight (F x C x kH x kW), each differing from it in
+    one filter: copy r has ``filters[r]`` (R x C x kH x kW) as its filter
+    ``index[r]``. A conv weight's ``data`` takes this form to carry the
+    replica axis (see "Leading axis")."""
+
+    weight: np.ndarray
+    filters: np.ndarray
+    index: np.ndarray
+
+    @property
+    def shape(self):
+        # that of the R x F x C x kH x kW stack of whole copies it stands for
+        return (len(self.index),) + self.weight.shape
+
+
 def conv2d(x, weight, stride=1, padding=0):
     """2D cross-correlation of B x C x H x W input with F x C x kH x kW kernels.
 
     Bias-free; output spatial extent is floor((H + 2*padding - kH)/stride) + 1.
+    An R x B x C x H x W input, or a weight whose data is R ``FilterCopies``
+    with a B x C x H x W input, gives R x B x F x outH x outW.
     """
     stride, padding = _count("stride", stride, 1), _count("padding", padding, 0)
-    if x.data.ndim not in (4, 5) or weight.data.ndim not in (4, 5):
-        raise ShapeError("conv2d expects 4D (or replicated 5D) input and weight")
-    if x.data.ndim == weight.data.ndim == 5 and x.data.shape[0] != weight.data.shape[0]:
-        raise ShapeError(f"input has {x.data.shape[0]} replicas, weight {weight.data.shape[0]}")
-    leading = x.data.ndim == 5 or weight.data.ndim == 5
-    kh, kw = weight.data.shape[-2:]
-    out_h, out_w = _conv_extent(x.data.shape, weight.data.shape, stride, padding)
+    w, copies = weight.data, isinstance(weight.data, FilterCopies)
+    if copies:
+        w, filters, index = w
+    if w.ndim != 4 or x.data.ndim != 4 and (copies or x.data.ndim != 5):
+        raise ShapeError("conv2d expects a 4D weight and a 4D (or replicated 5D) input, "
+                         "or a 4D input and a weight's filter copies")
+    leading = copies or x.data.ndim == 5
+    kh, kw = w.shape[-2:]
+    out_h, out_w = _conv_extent(x.data.shape, w.shape, stride, padding)
     framing = (kh, kw, stride, out_h, out_w, (padding, padding))
-    w_mat = weight.data.reshape(weight.data.shape[:-3] + (-1,))
-    if not leading:
+    w_mat = w.reshape(len(w), -1)
+    if copies:
+        # the weight's filters and the copies' in one GEMM per image
+        w_mat = np.concatenate([w_mat, filters.reshape(len(filters), -1)])
+    elif not leading:
         # OpenBLAS multiplies small untransposed operands with a small-matrix
         # kernel whose rounding differs from its packed kernel's. A transposed
         # weight keeps most shapes, the resnet ones among them, on the packed
@@ -552,12 +580,19 @@ def conv2d(x, weight, stride=1, padding=0):
         w_mat = np.ascontiguousarray(w_mat.T).T
     # one GEMM per image, and per replica, written straight into the NCHW
     # output (..., B, F, outH, outW)
-    lead = x.data.shape[:-4] or weight.data.shape[:-4]  # (R,) or ()
+    lead = x.data.shape[:-4]  # (R,) or ()
     b, f = x.data.shape[-4], w_mat.shape[-2]
     out = np.empty((*lead, b, f, out_h * out_w), np.result_type(x.data, w_mat))
     w_mat = w_mat[..., None, :, :]
     _each_chunk(x.data, [(lambda lo, hi, col: np.matmul(w_mat, col, out=out[..., lo:hi, :, :]),
                           *framing)])
+    if copies:
+        # copy r: the weight's output, its channel index[r] from filter r
+        f, r = len(w), len(index)
+        whole = np.empty((r, b, f, out_h * out_w), out.dtype)
+        whole[...] = out[:, :f]
+        whole[np.arange(r), :, index] = out[:, f:].swapaxes(0, 1)
+        out, lead = whole, (r,)
 
     def backward(g):
         if weight.requires_grad:

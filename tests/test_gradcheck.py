@@ -1,10 +1,11 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import multipod.tensor as T
-from multipod.gradcheck import finite_differences, gradient_check
+from multipod.gradcheck import CHUNK_BYTES, finite_differences, gradient_check
 from multipod.models import APPROACH1, APPROACH2, MultiPodSpec, build_multipod, resnet_cifar
 from oracles import fd_quotients_oracle
 
@@ -16,6 +17,16 @@ def small_model(fusion=APPROACH1, combine_mode="sum", pods=2):
     rng = np.random.default_rng(5)
     inputs = [T.Tensor(rng.normal(0.0, 1.0, (2, 3, 8, 8)), dtype=np.float64)
               for _ in range(pods)]
+    return model, inputs, rng.integers(0, 10, size=2)
+
+
+def tripod():
+    # criterion 2's model and inputs
+    spec = MultiPodSpec(pods=3, base=resnet_cifar(1), fusion=APPROACH1, classes=10)
+    model = build_multipod(spec, dtype=np.float64)
+    rng = np.random.default_rng(2701)
+    inputs = [T.Tensor(rng.normal(0.0, 1.0, (2, 3, 8, 8)), dtype=np.float64)
+              for _ in range(3)]
     return model, inputs, rng.integers(0, 10, size=2)
 
 
@@ -104,9 +115,23 @@ def test_sample_stride_below_one_is_rejected(stride):
         next(finite_differences(model, inputs, labels, sample_stride=stride))
 
 
+@pytest.mark.parametrize("stride", [2.5, True, np.True_, "3"], ids=repr)
+def test_sample_stride_must_be_an_integer(stride):
+    model, inputs, labels = small_model()
+    with pytest.raises(ValueError, match="sample_stride >= 1, an integer"):
+        next(finite_differences(model, inputs, labels, sample_stride=stride))
+
+
+def test_sample_stride_may_be_a_numpy_integer():
+    model, inputs, labels = small_model()
+    assert (gradient_check(model, inputs, labels, sample_stride=np.int64(997)).checked
+            == gradient_check(model, inputs, labels, sample_stride=997).checked)
+
+
 BAD_ARGUMENTS = [*(("h", h) for h in (0.0, -1e-5, np.nan, np.inf)),
                  *(("tol", tol) for tol in (0.0, -1.0, np.nan, np.inf)),
-                 *(("atol", atol) for atol in (-1.0, np.nan, np.inf)), ("sample_stride", 0)]
+                 *(("atol", atol) for atol in (-1.0, np.nan, np.inf)),
+                 *(("sample_stride", stride) for stride in (0, 2.5, True))]
 
 
 @pytest.mark.parametrize("name,value", BAD_ARGUMENTS,
@@ -119,3 +144,38 @@ def test_bad_step_tolerance_or_stride_is_refused_before_any_forward(monkeypatch,
     monkeypatch.setattr(model, "forward", forward)
     with pytest.raises(ValueError, match=re.escape(f"{name}={value}")):
         gradient_check(model, inputs, labels, **{name: value})
+
+
+def test_conv_weights_reach_conv_as_filter_copies(monkeypatch):
+    model, inputs, labels = tripod()
+    plain, weights = T.conv2d, []
+
+    def recording_conv2d(x, weight, stride=1, padding=0):
+        weights.append(weight.data)
+        return plain(x, weight, stride=stride, padding=padding)
+
+    monkeypatch.setattr(T, "conv2d", recording_conv2d)
+    for _ in finite_differences(model, inputs, labels, sample_stride=397):
+        pass
+    copies = [w for w in weights if isinstance(w, T.FilterCopies)]
+    assert copies and all(c.weight.ndim == c.filters.ndim == 4 for c in copies)
+    assert all(w.ndim == 4 for w in weights if not isinstance(w, T.FilterCopies))
+
+
+def test_a_chunk_holds_at_most_chunk_bytes():
+    # each tensor's peak above the check's entry, over all its chunks; at
+    # stride 23 the stem conv weight and the head's dense weight each fill
+    # one chunk or more
+    model, inputs, labels = tripod()
+    model.store.param_values()  # every parameter drawn before the entry
+    peaks = {}
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        for name, _, _ in finite_differences(model, inputs, labels, sample_stride=23):
+            peaks[name] = tracemalloc.get_traced_memory()[1] - entry
+            tracemalloc.reset_peak()
+    finally:
+        tracemalloc.stop()
+    for name in ("pod0.stem.conv.weight", "head.dense.weight"):
+        assert CHUNK_BYTES // 2 < peaks[name] <= CHUNK_BYTES, name

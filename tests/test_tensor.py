@@ -538,7 +538,7 @@ class TestConvSplit:
     def test_replicas_split_with_the_bits_of_one_range(self, rng, monkeypatch, b):
         r = 3
         x = rng.normal(size=(r, b, self.C, self.H, self.H))
-        w = rng.normal(size=(r, 4, self.C, 3, 3))
+        w = rng.normal(size=(4, self.C, 3, 3))
         monkeypatch.setattr(T, "_CONV_CHUNK_BYTES", col_bytes(self.C, 3, self.H, r))
         conv = lambda: T.conv2d(t64(x), t64(w), stride=1, padding=1).data
         submitted = count_submits(monkeypatch)
@@ -1123,31 +1123,60 @@ class TestReplicaAxis:
         for r, ref in enumerate(plain_results):
             np.testing.assert_allclose(got[r], ref, rtol=1e-12, atol=1e-14)
 
+    @classmethod
+    def filter_copies(cls, rng, f, c, k):
+        # R copies of an f-filter weight, each with one filter replaced (the
+        # first and third the same one), and the same copies as whole weights
+        w = rng.normal(size=(f, c, k, k))
+        copies = T.FilterCopies(w, rng.normal(size=(cls.R, c, k, k)), np.array([f - 1, 0, f - 1]))
+        whole = np.repeat(w[None], cls.R, axis=0)
+        whole[np.arange(cls.R), copies.index] = copies.filters
+        return copies, whole
+
+    @staticmethod
+    def conv(xa, wa, stride, padding, requires_grad=False):
+        # a FilterCopies weight is set as a tensor's data, as the checker sets it
+        w = t64(getattr(wa, "weight", wa), requires_grad)
+        w.data = wa
+        return T.conv2d(t64(xa), w, stride=stride, padding=padding)
+
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (2, 0)])
     def test_conv2d(self, rng, stride, padding):
         x = rng.normal(size=(self.R, 2, 3, 6, 6))
-        w = rng.normal(size=(self.R, 4, 3, 3, 3))
-        conv = lambda xa, wa: T.conv2d(t64(xa), t64(wa), stride=stride, padding=padding).data
+        copies, whole = self.filter_copies(rng, 4, 3, 3)
+        conv = lambda xa, wa: self.conv(xa, wa, stride, padding).data
         with T.no_grad():
-            self.assert_per_replica(conv(x[0], w), [conv(x[0], wr) for wr in w])
-            self.assert_per_replica(conv(x, w[0]), [conv(xr, w[0]) for xr in x])
-            self.assert_per_replica(conv(x, w), [conv(xr, wr) for xr, wr in zip(x, w)])
-        with pytest.raises(T.ShapeError):
-            conv(x[:2], w)
+            self.assert_per_replica(conv(x[0], copies), [conv(x[0], wr) for wr in whole])
+            self.assert_per_replica(conv(x, whole[0]), [conv(xr, whole[0]) for xr in x])
+            # filter copies take an unreplicated input, and a weight has four axes
+            with pytest.raises(T.ShapeError):
+                conv(x, copies)
+            with pytest.raises(T.ShapeError):
+                conv(x[0], whole)
+
+    @pytest.mark.parametrize("k", [3, 1])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_conv2d_filter_copies_are_whole_weights(self, rng, k, stride, padding):
+        x = rng.normal(size=(2, 3, 6, 6))
+        copies, whole = self.filter_copies(rng, 4, 3, k)
+        with T.no_grad():
+            got = self.conv(x, copies, stride, padding).data
+            self.assert_per_replica(got, [self.conv(x, wr, stride, padding).data
+                                          for wr in whole])
 
     @pytest.mark.parametrize("k,s,p", CHUNK_CASES)
     def test_conv2d_chunk_boundaries(self, rng, monkeypatch, k, s, p):
         b, c, h = 5, 2, 7
         out = (h + 2 * p - k) // s + 1
         x = rng.normal(size=(self.R, b, c, h, h))
-        w = rng.normal(size=(self.R, 3, c, k, k))
-        conv = lambda xa, wa: T.conv2d(t64(xa), t64(wa), stride=s, padding=p).data
+        copies, whole = self.filter_copies(rng, 3, c, k)
+        conv = lambda xa, wa: self.conv(xa, wa, s, p).data
         with T.no_grad():
             # a replicated input unfolds all replicas of an image together
             monkeypatch.setattr(T, "_CONV_CHUNK_BYTES", 2 * col_bytes(c, k, out, self.R))
-            self.assert_per_replica(conv(x, w[0]), [conv(xr, w[0]) for xr in x])
+            self.assert_per_replica(conv(x, whole[0]), [conv(xr, whole[0]) for xr in x])
             monkeypatch.setattr(T, "_CONV_CHUNK_BYTES", 2 * col_bytes(c, k, out))
-            self.assert_per_replica(conv(x[0], w), [conv(x[0], wr) for wr in w])
+            self.assert_per_replica(conv(x[0], copies), [conv(x[0], wr) for wr in whole])
 
     def test_pooling(self, rng):
         x = rng.normal(size=(self.R, 2, 3, 5, 5))
@@ -1216,6 +1245,7 @@ class TestReplicaAxis:
     def test_replica_path_is_forward_only(self, rng):
         x = t64(rng.normal(size=(2, 1, 3, 4, 4)))
         w = t64(rng.normal(size=(2, 3, 3, 3)), requires_grad=True)
+        copies, _ = self.filter_copies(rng, 2, 3, 3)
         ones = t64(np.ones(3), requires_grad=True)
         feats = t64(rng.normal(size=(2, 1, 3)))
         dense = t64(rng.normal(size=(4, 3)), requires_grad=True)
@@ -1223,6 +1253,7 @@ class TestReplicaAxis:
         running = T.BNBuffers(3, np.float64)
         logits = t64(rng.normal(size=(2, 1, 4)), requires_grad=True)
         for call in (lambda: T.conv2d(x, w, padding=1),
+                     lambda: self.conv(x.data[0], copies, 1, 1, requires_grad=True),
                      lambda: T.batch_norm2d(x, ones, ones, running, training=True),
                      lambda: T.linear(feats, dense, bias),
                      lambda: T.concat_linear([feats], dense, bias),
@@ -1233,3 +1264,4 @@ class TestReplicaAxis:
         assert not running.initialized
         with T.no_grad():
             assert T.conv2d(x, w, padding=1).shape == (2, 1, 2, 4, 4)
+            assert self.conv(x.data[0], copies, 1, 1).shape == (self.R, 1, 2, 4, 4)
